@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test test-short test-race fuzz fuzz-smoke bench bench-default bench-json bench-compare serve-trace-gate pipeline serve-gate timeline trace-gate live-demo live-gate experiments artifacts
+.PHONY: all build vet test test-short test-race fuzz fuzz-smoke bench bench-default pipeline timeline live-demo experiments
 
 all: build vet test
 
@@ -10,6 +10,8 @@ build:
 vet:
 	go vet ./...
 
+# Includes TestDeterminismMatrix, the byte-identity contracts run over
+# the real cmd/ binaries (go test -run TestDeterminismMatrix . alone).
 test:
 	go test ./...
 
@@ -49,44 +51,6 @@ bench:
 bench-default:
 	L2S_BENCH_PROFILE=default go test -bench=. -benchmem .
 
-# Machine-readable record of the performance benchmarks (float32 and
-# packed-int16 GEMM kernels, steady-state training step, NoC bursts,
-# pipelined AlexNet inference, tap-overhead pairs, quantized-inference
-# pair, serving-layer load pair, request-tracing overhead pair), with
-# the zero-alloc gates CI enforces. Writes BENCH_PR10.json.
-bench-json:
-	go run ./tools/benchjson -require-zero-allocs 'TrainStepSteadyState|ServeTraceOverhead'
-
-# Regression-gate the committed bench trajectory (see ci.yml bench-smoke).
-bench-compare:
-	go run ./tools/benchjson -compare -max-regress 75 BENCH_PR9.json BENCH_PR10.json
-
-# The serving gate CI enforces: race-clean dispatcher, byte-identical
-# records for the same request script at different worker counts, and
-# a structurally valid serving flight record + live stream.
-serve-gate:
-	go test -race ./internal/serve/
-	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -workers 1 -obs serve.w1.json
-	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -workers 7 -obs serve.w7.json
-	cmp serve.w1.json serve.w7.json
-	go run ./tools/obscheck -serve serve.w1.json
-
-# The request-tracing gate CI enforces: stable serve-trace records must
-# be byte-identical across worker counts, validate structurally, and a
-# wall-clock run must render the combined serve-plane Perfetto trace.
-serve-trace-gate:
-	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -workers 1 -serve-trace st.w1.jsonl
-	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -workers 2 -serve-trace st.w2.jsonl
-	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -workers 7 -serve-trace st.w7.jsonl
-	cmp st.w1.jsonl st.w2.jsonl && cmp st.w1.jsonl st.w7.jsonl
-	go run ./tools/obscheck -serve-trace st.w1.jsonl
-	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -trace-wall \
-	  -serve-trace st.wall.jsonl -timeline serve.tl -serve-perfetto serve_combined.json
-	go run ./tools/obscheck -serve-trace st.wall.jsonl
-	go run ./tools/obscheck -timeline serve.tl
-	go run ./tools/obscheck -timeline serve_combined.json
-	go run ./cmd/l2s-trace -serve st.wall.jsonl
-
 # Pipelined-inference sweep: throughput vs depth for all four schemes.
 pipeline:
 	go run ./cmd/l2s-bench -exp pipeline
@@ -96,13 +60,6 @@ pipeline:
 timeline:
 	go run ./examples/timeline
 
-# The locality gate CI enforces: SS_Mask's mean hop count must be
-# strictly below the dense baseline's on the same workload.
-trace-gate:
-	go run ./cmd/l2s-sim -net mlp -cores 16 -scheme none -epochs 3 -timeline baseline.tl
-	go run ./cmd/l2s-sim -net mlp -cores 16 -scheme ssmask -epochs 3 -timeline ssmask.tl
-	go run ./cmd/l2s-trace -compare -gate-mean-hops baseline.tl ssmask.tl
-
 # Live telemetry demo: train with a windowed JSONL stream and health
 # rules, then replay the stream through the l2s-top monitor.
 live-demo:
@@ -110,19 +67,5 @@ live-demo:
 	  -health 'train.epoch.loss.last < 100'
 	go run ./cmd/l2s-top -follow live.jsonl -once
 
-# The live-telemetry gate CI enforces: deterministic streams must be
-# byte-identical across worker counts, validate structurally, and the
-# /metrics exposition must pass the promlint-style checks mid-run.
-live-gate:
-	go run ./cmd/l2s-train -net mlp -epochs 3 -q -workers 1 -live live.w1.jsonl
-	go run ./cmd/l2s-train -net mlp -epochs 3 -q -workers 7 -live live.w7.jsonl
-	cmp live.w1.jsonl live.w7.jsonl
-	go run ./tools/obscheck -live -min-windows 4 live.w1.jsonl
-
 experiments:
 	go run ./cmd/l2s-bench -exp all
-
-# The artifacts EXPERIMENTS.md references.
-artifacts:
-	go test ./... 2>&1 | tee test_output.txt
-	go test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt

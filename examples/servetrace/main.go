@@ -13,8 +13,8 @@
 // the residual blame toward queueing — the classic batching trade read
 // straight off the telescoping queue→batch→sim→dequant→respond spans.
 //
-// Load servetrace_batch1.json or servetrace_batched.json (the
-// committed pair lives next to this file) at https://ui.perfetto.dev
+// The run writes servetrace_batch1.json and servetrace_batched.json
+// into the working directory; load either at https://ui.perfetto.dev
 // and follow a request's flow arrow from its sim slice into its
 // batch's window and on into the pipeline stage tracks.
 //
@@ -56,9 +56,9 @@ func main() {
 		cfg  learn2scale.ServeConfig
 	}{
 		{"batch-1", "servetrace_batch1.json",
-			learn2scale.ServeConfig{Window: 0, Depth: 1, Sims: 1}},
+			learn2scale.ServeConfig{Window: 0, Depth: 1}},
 		{"batched", "servetrace_batched.json",
-			learn2scale.ServeConfig{Window: 2 * time.Millisecond, MaxBatch: 8, Depth: 4, Sims: 1}},
+			learn2scale.ServeConfig{Window: 2 * time.Millisecond, MaxBatch: 8, Depth: 4}},
 	} {
 		if err := serveTraced(run.name, run.out, run.cfg, pool); err != nil {
 			log.Fatal(err)
@@ -66,8 +66,8 @@ func main() {
 	}
 }
 
-// serveTraced re-wraps the trained pool under cfg (fresh simulator
-// fleets capture the run's own timeline sink), serves one burst of
+// serveTraced re-wraps the trained pool under cfg (fresh simulators
+// capture the run's own timeline sink), serves one burst of
 // traced requests, prints the per-phase latency attribution, and
 // writes the combined serve-plane + sim-cycle Perfetto trace.
 func serveTraced(name, out string, cfg learn2scale.ServeConfig, pool []*learn2scale.ServeModel) error {

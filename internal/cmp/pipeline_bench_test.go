@@ -11,9 +11,9 @@ import (
 // PR's acceptance workload — AlexNet at depth 4 with 8 inferences in
 // flight on 16 cores — and reports the simulated steady-state
 // throughput alongside the host-side cost. The inf/Mcycle metric is
-// the number BENCH_PR6.json carries for the throughput-vs-replay
-// comparison; BenchmarkRunPlanAlexNet above it is the sequential
-// anchor.
+// the simulated throughput-vs-replay comparison (gated by
+// TestRunPipelineThroughputBeatsReplay); BenchmarkRunPlanAlexNet
+// above it is the sequential anchor.
 func BenchmarkRunPipelineAlexNet(b *testing.B) {
 	sys := MustNew(DefaultConfig(16))
 	plan := partition.NewPlan(netzoo.AlexNet(), 16)

@@ -319,3 +319,40 @@ func TestRunPipelineRejects(t *testing.T) {
 		t.Error("invalid placement accepted")
 	}
 }
+
+// TestSystemReuseDeterminism: one System reused across RunPipeline
+// calls, as each serving model reuses its simulator for every batch,
+// yields the same report as a fresh System — reuse must be invisible.
+func TestSystemReuseDeterminism(t *testing.T) {
+	plan := partition.NewPlan(netzoo.MLP(), 4)
+	opt := PipelineOptions{Depth: 2, Batches: 3}
+	var want PipelineReport
+	s, err := New(DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		rep, err := s.RunPipeline(plan, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = rep
+			continue
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("run %d on a reused System differs from its first run:\n%+v\n%+v", i, rep, want)
+		}
+	}
+	fresh, err := New(DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fresh.RunPipeline(plan, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, want) {
+		t.Fatalf("a fresh System differs from a reused one:\n%+v\n%+v", rep, want)
+	}
+}

@@ -9,7 +9,8 @@ import (
 )
 
 // allocNet builds a representative conv net (conv → relu → pool →
-// flatten → fc) plus a small labelled batch.
+// flatten → fc) plus a small labelled batch: the same network, seed
+// and batch of 8 as the root package's BenchmarkTrainStepSteadyState.
 func allocNet() (*Trainer, []*tensor.Tensor, []int) {
 	rng := rand.New(rand.NewSource(7))
 	net := NewNetwork("alloc").Add(
@@ -23,7 +24,7 @@ func allocNet() (*Trainer, []*tensor.Tensor, []int) {
 	cfg := DefaultSGD()
 	cfg.Workers = 1
 	tr := &Trainer{Net: net, Config: cfg}
-	inputs := make([]*tensor.Tensor, 4)
+	inputs := make([]*tensor.Tensor, 8)
 	labels := make([]int, len(inputs))
 	for i := range inputs {
 		in := tensor.New(1, 12, 12)

@@ -124,8 +124,7 @@ func (t *countingTap) TapBoundary(string, float64)           { t.n++ }
 // BenchmarkTapOverheadCounterOff / On measure the per-update cost of
 // the tap hook on an enabled registry: Off is the baseline (no tap
 // attached — one atomic load + nil check), On adds the interface
-// dispatch into a trivial tap. BENCH_PR7.json carries both so the
-// ≤2%-overhead acceptance bound is checkable from the artifact.
+// dispatch into a trivial tap; compare the pair within one run.
 func BenchmarkTapOverheadCounterOff(b *testing.B) {
 	r := New()
 	c := r.Counter("bench", Stable)

@@ -14,8 +14,8 @@ import (
 // batch, per-request forward passes. BenchmarkServeBatch1 is the
 // batch-size-1 anchor (window 0, depth 1: every request its own
 // barrier-scheduled pass); BenchmarkServeBatched is dynamic batching
-// at depth 4. Their qps metrics are the PR's acceptance comparison in
-// BENCH_PR9.json: batching must sustain measurably higher QPS.
+// at depth 4. Their qps metrics are the batching comparison; compare
+// them only within one run on one machine.
 
 // BenchmarkServeTraceOverheadBase / Nil isolate the request-tracing
 // hook's cost on the dispatcher's per-request hot path, mirroring the
@@ -24,9 +24,8 @@ import (
 // counter, volatile latency histogram); Nil runs the identical
 // accounting plus the disabled-tracer branches exactly as the
 // dispatcher executes them — the dequeue-stamp guard and the trace
-// check. BENCH_PR10.json carries both so the ≤2%+1ns acceptance bound
-// is checkable from the artifact; TestServeTraceNilZeroAlloc pins the
-// zero-alloc side.
+// check. Compare the pair within one run; TestServeTraceNilZeroAlloc
+// runs the Nil body and pins its zero-alloc side.
 //
 // The pair is declared FIRST in this file on purpose: go test runs
 // benchmarks in declaration order, and running the pair before the

@@ -155,8 +155,8 @@ func (s *Server) dispatch() {
 		select {
 		case first = <-s.queue:
 			s.stampDequeued(first)
-		case batch := <-s.batchq:
-			s.execute(batch)
+		case b := <-s.batchq:
+			s.executeScript(b)
 			continue
 		case <-s.quit:
 			// Drain: admission is closed, so the queue can only
@@ -166,8 +166,8 @@ func (s *Server) dispatch() {
 				case p := <-s.queue:
 					s.stampDequeued(p)
 					s.execute(s.collect(p))
-				case batch := <-s.batchq:
-					s.execute(batch)
+				case b := <-s.batchq:
+					s.executeScript(b)
 				default:
 					return
 				}
@@ -300,12 +300,10 @@ func (s *Server) executeGroup(m *Model, group []*pending) {
 	if trace {
 		simStart = time.Now()
 	}
-	sim := m.sims.Get()
-	report, simErr := sim.RunPipeline(m.TM.Plan, cmp.PipelineOptions{
+	report, simErr := m.sim.RunPipeline(m.TM.Plan, cmp.PipelineOptions{
 		Depth:   depth,
 		Batches: len(group),
 	})
-	m.sims.Put(sim)
 	if trace {
 		simEnd = time.Now()
 	}
@@ -320,7 +318,7 @@ func (s *Server) executeGroup(m *Model, group []*pending) {
 		// server's single global timeline: prefix the labels with the
 		// batch ordinal and shift every start by the cumulative
 		// sim-cycle cursor, so consecutive batches stack end to end and
-		// the record passes obscheck -timeline. Deterministic: the
+		// the record passes timeline.ReadRecord. Deterministic: the
 		// cursor advances by the pass's TotalCycles, a pure function of
 		// the request stream.
 		if tl := s.cfg.Timeline; tl != nil {

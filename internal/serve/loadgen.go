@@ -199,7 +199,7 @@ func (r *LoadReport) foldTraces(traces []ReqTrace) {
 		totals[i] = traces[i].TotalNS
 	}
 	sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
-	p99 := quantileNS(totals, 0.99)
+	p99 := quantile(totals, 0.99)
 	for ph := 0; ph < int(NumPhases); ph++ {
 		for i := range traces {
 			col[i] = time.Duration(traces[i].Phases()[ph])
@@ -229,9 +229,9 @@ func (r *LoadReport) foldTraces(traces []ReqTrace) {
 	}
 }
 
-// quantile reads the q-quantile from an ascending latency slice using
-// the nearest-rank method.
-func quantile(sorted []time.Duration, q float64) time.Duration {
+// quantile reads the q-quantile from an ascending slice of latencies
+// (durations or nanosecond counts) using the nearest-rank method.
+func quantile[T time.Duration | int64](sorted []T, q float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -53,16 +53,23 @@ func TestRunLoadDefaults(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	if q := quantile(nil, 0.5); q != 0 {
+	if q := quantile([]time.Duration(nil), 0.5); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
 	}
+	if q := quantile([]int64(nil), 0.5); q != 0 {
+		t.Fatalf("empty int64 quantile = %v", q)
+	}
 	lat := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	ns := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	for _, c := range []struct {
 		q    float64
-		want time.Duration
+		want int64
 	}{{0.5, 5}, {0.9, 9}, {0.99, 10}, {0.0, 1}, {1.0, 10}} {
-		if got := quantile(lat, c.q); got != c.want {
+		if got := quantile(lat, c.q); got != time.Duration(c.want) {
 			t.Errorf("quantile(%.2f) = %v, want %v", c.q, got, c.want)
+		}
+		if got := quantile(ns, c.q); got != c.want {
+			t.Errorf("int64 quantile(%.2f) = %d, want %d", c.q, got, c.want)
 		}
 	}
 }

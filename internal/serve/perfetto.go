@@ -175,7 +175,7 @@ func WriteServePerfetto(w io.Writer, log *TraceLog, tl *timeline.Sink, tool stri
 			}
 			// The slice must precede its outgoing flow at the same
 			// stamp: the stable timestamp sort keeps append order for
-			// ties, and both Perfetto and obscheck bind a flow to an
+			// ties, and both Perfetto and timeline.ValidatePerfetto bind a flow to an
 			// already-seen slice on its track.
 			extra = append(extra, ev)
 			if Phase(ph) == PhaseSim {

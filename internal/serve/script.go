@@ -84,9 +84,14 @@ func (s *Server) RunScript(ctx context.Context, steps []ScriptStep) ([][]*Respon
 				resp:     make(chan result, 1),
 			}
 		}
-		if err := s.submitBatch(batch); err != nil {
+		done, err := s.submitBatch(batch)
+		if err != nil {
 			return nil, fmt.Errorf("serve: script step %d: %w", i, err)
 		}
+		// The responses arrive before the dispatcher records the batch
+		// and closes its telemetry window; admitting the next step
+		// before then would count its requests in this step's window.
+		<-done
 		resps := make([]*Response, len(batch))
 		for j, p := range batch {
 			r := <-p.resp
@@ -100,22 +105,37 @@ func (s *Server) RunScript(ctx context.Context, steps []ScriptStep) ([][]*Respon
 	return out, nil
 }
 
-// submitBatch hands a pre-composed batch to the dispatcher. Like
-// admitOne it holds the admission read lock so a drain cannot start
-// between the closed check and the handoff.
-func (s *Server) submitBatch(batch []*pending) error {
+// scriptBatch is one pre-composed batch on its way to the dispatcher,
+// which closes done once the batch is answered and recorded.
+type scriptBatch struct {
+	reqs []*pending
+	done chan struct{}
+}
+
+// submitBatch hands a pre-composed batch to the dispatcher and returns
+// the channel closed when the batch is fully executed. Like admitOne
+// it holds the admission read lock so a drain cannot start between the
+// closed check and the handoff.
+func (s *Server) submitBatch(batch []*pending) (<-chan struct{}, error) {
 	s.admit.RLock()
 	defer s.admit.RUnlock()
 	if s.closed {
-		return ErrDraining
+		return nil, ErrDraining
 	}
 	for _, p := range batch {
 		s.countAdmitted(p, len(s.queue))
 	}
+	b := scriptBatch{reqs: batch, done: make(chan struct{})}
 	select {
-	case s.batchq <- batch:
-		return nil
+	case s.batchq <- b:
+		return b.done, nil
 	case <-s.quit:
-		return ErrDraining
+		return nil, ErrDraining
 	}
+}
+
+// executeScript runs one pre-composed batch on the dispatcher.
+func (s *Server) executeScript(b scriptBatch) {
+	s.execute(b.reqs)
+	close(b.done)
 }

@@ -1,8 +1,8 @@
 // Package serve is the batched inference serving layer: an in-process
-// dispatcher / worker-fleet service that holds a pool of trained
-// models (one per parallelization scheme, each optionally quantized to
-// int16) and a pool of reusable CMP simulator instances, and streams
-// concurrent inference requests through them.
+// dispatcher service that holds a pool of trained models (one per
+// parallelization scheme, each optionally quantized to int16, each with
+// its own reusable CMP simulator) and streams concurrent inference
+// requests through them.
 //
 // The shape mirrors the dispatcher-pod / inference-pod split of
 // SEIFER-style distributed inference, collapsed into one process:
@@ -99,8 +99,8 @@ func ParseModelName(s string) (core.Scheme, error) {
 }
 
 // Model is one servable entry of the pool: a trained scheme at a
-// precision, its sample inputs, and its private fleet of reusable CMP
-// simulator instances.
+// precision, its sample inputs, and the reusable CMP simulator its
+// batches run on.
 type Model struct {
 	Key ModelKey
 	TM  *core.TrainedModel
@@ -111,7 +111,9 @@ type Model struct {
 	Samples []*tensor.Tensor
 
 	inLen int
-	sims  *cmp.Pool
+	// sim is used only by the dispatcher goroutine, one batch at a
+	// time; a System is reusable across RunPipeline calls.
+	sim *cmp.System
 
 	// mu serializes forward passes: both the float and the quantized
 	// network own their scratch buffers, so one inference runs at a
@@ -152,10 +154,6 @@ type Config struct {
 	// Depth is the pipeline depth batches are simulated at
 	// (cmp.PipelineOptions.Depth). <= 0 means 4.
 	Depth int
-	// Sims is the number of reusable simulator instances per model.
-	// <= 0 means 2. The dispatcher uses one at a time; the spares
-	// serve ad-hoc diagnostics without stealing the hot instance.
-	Sims int
 	// Obs, when non-nil, receives the serving-path flight record and
 	// live telemetry: stable serve.requests/serve.batches counters and
 	// the serve.batch_size / serve.batch_cycles histograms, volatile
@@ -167,7 +165,7 @@ type Config struct {
 	// of every simulated batch. Served batches are stitched into one
 	// global timeline: each pass's sections are relabeled
 	// "serve.gNNN.<layer>" and shifted by the cumulative sim-cycle
-	// cursor, so the record passes obscheck -timeline and renders as
+	// cursor, so the record passes timeline.ReadRecord and renders as
 	// consecutive batch windows in Perfetto.
 	Timeline *timeline.Sink
 	// Trace, when non-nil, receives request-scoped lifecycle traces:
@@ -188,9 +186,6 @@ func (c *Config) fill() {
 	}
 	if c.Depth <= 0 {
 		c.Depth = 4
-	}
-	if c.Sims <= 0 {
-		c.Sims = 2
 	}
 }
 
@@ -213,7 +208,7 @@ type Server struct {
 	// batchq hands the dispatcher pre-composed batches (script mode),
 	// bypassing the arrival-timing window so batch composition is
 	// deterministic.
-	batchq chan []*pending
+	batchq chan scriptBatch
 	quit   chan struct{}
 	done   chan struct{}
 
@@ -259,7 +254,7 @@ func New(cfg Config, models []*Model) (*Server, error) {
 		cfg:     cfg,
 		models:  make(map[ModelKey]*Model, len(models)),
 		queue:   make(chan *pending, cfg.QueueCap),
-		batchq:  make(chan []*pending),
+		batchq:  make(chan scriptBatch),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 		traceOn: cfg.Trace != nil,
@@ -320,9 +315,9 @@ func (s *Server) Close() {
 // the servable model pool: one entry per (scheme, precision). Int16
 // entries share their scheme's trained float network through its
 // quantized twin (core.TrainedModel.Quantize), completing the
-// "servable quantization" stretch of ROADMAP item 4. The simulator
-// fleets are wired to cfg.Obs / cfg.Timeline and model the precision's
-// MAC density.
+// "servable quantization" stretch of ROADMAP item 4. Each entry's
+// simulator is wired to cfg.Obs / cfg.Timeline and models the
+// precision's MAC density.
 func NewModels(cfg Config, spec core.SparseNetConfig, ds *data.Dataset, schemes []core.Scheme, precisions []fixed.Precision, cores, epochs int, seed int64) ([]*Model, error) {
 	cfg.fill()
 	var out []*Model
@@ -360,7 +355,7 @@ func NewModels(cfg Config, spec core.SparseNetConfig, ds *data.Dataset, schemes 
 }
 
 // NewModel wraps one trained model as a servable entry at the given
-// precision, with its private simulator fleet.
+// precision, with its own simulator.
 func NewModel(cfg Config, tm *core.TrainedModel, prec fixed.Precision, samples []*tensor.Tensor) (*Model, error) {
 	cfg.fill()
 	if prec == fixed.Int16 && tm.QNet == nil {
@@ -370,7 +365,7 @@ func NewModel(cfg Config, tm *core.TrainedModel, prec fixed.Precision, samples [
 	scfg.Obs = cfg.Obs
 	scfg.Timeline = cfg.Timeline
 	scfg.Core.Precision = prec
-	sims, err := cmp.NewPool(scfg, cfg.Sims)
+	sim, err := cmp.New(scfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %s/%s: %w", ModelName(tm.Scheme), prec, err)
 	}
@@ -380,6 +375,6 @@ func NewModel(cfg Config, tm *core.TrainedModel, prec fixed.Precision, samples [
 		TM:      tm,
 		Samples: samples,
 		inLen:   inLen,
-		sims:    sims,
+		sim:     sim,
 	}, nil
 }

@@ -4,14 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"learn2scale/internal/core"
 	"learn2scale/internal/fixed"
+	"learn2scale/internal/obs"
 )
 
 func TestModelNameRoundTrip(t *testing.T) {
@@ -130,7 +133,7 @@ func stalledServer(t testing.TB, queueCap int) (s *Server, start func()) {
 		models: map[ModelKey]*Model{m.Key: m},
 		keys:   []ModelKey{m.Key},
 		queue:  make(chan *pending, queueCap),
-		batchq: make(chan []*pending),
+		batchq: make(chan scriptBatch),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 		start:  time.Now(),
@@ -431,6 +434,59 @@ func TestScriptReadAndRun(t *testing.T) {
 	}
 	if _, err := s.RunScript(context.Background(), []ScriptStep{{Model: "nope", Samples: []int{0}}}); err == nil {
 		t.Fatal("script accepted an unknown model")
+	}
+}
+
+// windowTap records, at every serve.batch boundary, how many requests
+// have been admitted so far. The boundary dawdles to widen the gap a
+// racing admission of the next script step would land in.
+type windowTap struct {
+	mu         sync.Mutex
+	requests   int64
+	atBoundary []int64
+}
+
+func (w *windowTap) TapCounter(name string, _ obs.Class, delta int64) {
+	if name == "serve.requests" {
+		w.mu.Lock()
+		w.requests += delta
+		w.mu.Unlock()
+	}
+}
+func (w *windowTap) TapGauge(string, obs.Class, float64, bool) {}
+func (w *windowTap) TapHistogram(string, obs.Class, int64)     {}
+func (w *windowTap) TapBoundary(label string, _ float64) {
+	if label != "serve.batch" {
+		return
+	}
+	time.Sleep(20 * time.Millisecond)
+	w.mu.Lock()
+	w.atBoundary = append(w.atBoundary, w.requests)
+	w.mu.Unlock()
+}
+
+// TestScriptStepClosesItsWindow pins the script-mode telemetry
+// contract: a step's batch window closes before the next step is
+// admitted, so each serve.batch window holds exactly its own step's
+// requests and the live stream is a pure function of the script.
+func TestScriptStepClosesItsWindow(t *testing.T) {
+	reg := obs.New()
+	tap := &windowTap{}
+	reg.SetTap(tap)
+	s := testServer(t, Config{Depth: 2, Obs: reg})
+	defer s.Close()
+	steps := []ScriptStep{
+		{Model: "baseline", Samples: []int{0, 1, 2}},
+		{Model: "ssmask", Samples: []int{3}},
+		{Model: "baseline", Samples: []int{4, 5}},
+	}
+	if _, err := s.RunScript(context.Background(), steps); err != nil {
+		t.Fatal(err)
+	}
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	if want := []int64{3, 4, 6}; fmt.Sprint(tap.atBoundary) != fmt.Sprint(want) {
+		t.Fatalf("requests admitted at each batch boundary %v, want %v", tap.atBoundary, want)
 	}
 }
 

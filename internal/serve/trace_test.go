@@ -570,20 +570,25 @@ func TestTraceSinkEdges(t *testing.T) {
 }
 
 // TestServeTraceNilZeroAlloc pins the disabled-tracer contract: with no
-// sink configured the per-request hot-path additions (the dequeue
-// stamp guard and the trace branch) allocate nothing.
+// sink configured the per-request hot path allocates nothing. The body
+// is exactly BenchmarkServeTraceOverheadNil's — the dequeue-stamp
+// guard, the trace branch and the respond accounting into an enabled
+// registry — so the pair's zero-alloc side holds on every test run.
 func TestServeTraceNilZeroAlloc(t *testing.T) {
-	s := &Server{} // traceOn false — the disabled path
-	p := &pending{}
+	s, p := traceOverheadServer() // no trace sink: the disabled path
 	if n := testing.AllocsPerRun(1000, func() {
 		s.stampDequeued(p)
 		if s.traceOn || p.traced {
 			t.Fatal("trace misfired")
 		}
+		s.countResponded(traceOverheadLatency)
 	}); n != 0 {
 		t.Fatalf("disabled trace path allocates %.1f per request", n)
 	}
 	if !p.dequeued.IsZero() {
 		t.Fatal("disabled stamp wrote a time")
+	}
+	if got := s.Stats().Responded; got != 1001 {
+		t.Fatalf("respond accounting counted %d requests, want 1001", got)
 	}
 }

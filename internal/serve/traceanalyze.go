@@ -103,8 +103,8 @@ func AnalyzeTrace(log *TraceLog) (*TraceAnalysis, error) {
 		}
 		sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
 		st.MeanBatch = float64(sumBatch) / float64(len(a.reqs))
-		st.TotalP50NS = quantileNS(totals, 0.50)
-		st.TotalP99NS = quantileNS(totals, 0.99)
+		st.TotalP50NS = quantile(totals, 0.50)
+		st.TotalP99NS = quantile(totals, 0.99)
 		for ph := range st.Phases {
 			st.Phases[ph].MeanNS = sumPhase[ph] / int64(len(a.reqs))
 			if sumTotal > 0 {
@@ -135,21 +135,6 @@ func AnalyzeTrace(log *TraceLog) (*TraceAnalysis, error) {
 		out.Models = append(out.Models, st)
 	}
 	return out, nil
-}
-
-// quantileNS is the nearest-rank quantile of an ascending-sorted slice.
-func quantileNS(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // WriteTable renders the attribution as an aligned text table: one row

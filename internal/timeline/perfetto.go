@@ -91,7 +91,7 @@ func (t *Sink) WritePerfetto(w io.Writer, tool string, meta map[string]string) e
 // merged in: extra metadata joins the header block, extra data events
 // join the stable timestamp sort. Safe on a nil sink when extra is the
 // only content (the sim-track processes are still declared so the
-// export stays obscheck-valid).
+// export passes ValidatePerfetto).
 func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]string, extra []ExtraEvent) error {
 	t.resolveStarts()
 	secs := t.Sections()
@@ -278,4 +278,93 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 		return err
 	}
 	return bw.Flush()
+}
+
+// ValidatePerfetto checks the structural invariants a trace viewer
+// relies on in a WritePerfetto/WritePerfettoExtra export: metadata
+// before data events, data events sorted by timestamp, named router,
+// link and core processes, balanced B/E pairs per (pid, tid) track,
+// non-negative X durations, every s/t/f flow arrow carrying an id and
+// binding to an X slice that starts at its stamp on its track, and no
+// phase outside the ones the writers emit.
+func ValidatePerfetto(r io.Reader) error {
+	var tr struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			TS   int64  `json:"ts"`
+			Dur  int64  `json:"dur"`
+			Pid  int    `json:"pid"`
+			Tid  int    `json:"tid"`
+			ID   string `json:"id"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(r).Decode(&tr); err != nil {
+		return fmt.Errorf("timeline: not trace-event JSON: %w", err)
+	}
+	if len(tr.TraceEvents) == 0 {
+		return fmt.Errorf("timeline: no trace events")
+	}
+	type track struct{ pid, tid int }
+	depth := map[track]int{}
+	slices := map[track]map[int64]bool{} // X slice start stamps per track
+	procs := map[int]bool{}
+	var prevTS int64
+	sawData := false
+	for i, e := range tr.TraceEvents {
+		tk := track{e.Pid, e.Tid}
+		switch e.Ph {
+		case "M":
+			if sawData {
+				return fmt.Errorf("timeline: event %d: metadata after data events", i)
+			}
+			if e.Name == "process_name" {
+				procs[e.Pid] = true
+			}
+			continue
+		case "B":
+			depth[tk]++
+		case "E":
+			if depth[tk]--; depth[tk] < 0 {
+				return fmt.Errorf("timeline: event %d: E without matching B on pid=%d tid=%d", i, e.Pid, e.Tid)
+			}
+		case "X":
+			if e.Dur < 0 {
+				return fmt.Errorf("timeline: event %d: negative slice duration %d", i, e.Dur)
+			}
+			if slices[tk] == nil {
+				slices[tk] = map[int64]bool{}
+			}
+			slices[tk][e.TS] = true
+		case "s", "t", "f":
+			if e.ID == "" {
+				return fmt.Errorf("timeline: event %d: flow event without id", i)
+			}
+			if !slices[tk][e.TS] {
+				return fmt.Errorf("timeline: event %d: flow %s at ts=%d binds to no slice on pid=%d tid=%d",
+					i, e.ID, e.TS, e.Pid, e.Tid)
+			}
+		case "C", "i":
+			// Counter tracks (the serve plane's queue depth) and
+			// instants carry no invariant beyond the timestamp order.
+		default:
+			return fmt.Errorf("timeline: event %d: unknown phase %q", i, e.Ph)
+		}
+		sawData = true
+		if e.TS < prevTS {
+			return fmt.Errorf("timeline: event %d: ts %d after %d (not sorted)", i, e.TS, prevTS)
+		}
+		prevTS = e.TS
+	}
+	for _, pid := range []int{PidRouters, PidLinks, PidCores} {
+		if !procs[pid] {
+			return fmt.Errorf("timeline: no process_name metadata for pid %d", pid)
+		}
+	}
+	for tk, d := range depth {
+		if d != 0 {
+			return fmt.Errorf("timeline: pid=%d tid=%d left %d spans open", tk.pid, tk.tid, d)
+		}
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package timeline
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -35,69 +36,8 @@ func TestWritePerfettoStructure(t *testing.T) {
 		t.Fatalf("otherData = %v", tr.OtherData)
 	}
 
-	type track struct{ pid, tid int }
-	depth := map[track]int{}     // open B/E nesting per track
-	slices := map[track][]int64{} // X slice start stamps per track
-	var prevTS int64
-	var sawMeta, sawData bool
-	procs := map[int]bool{}
-	for i, e := range tr.TraceEvents {
-		tk := track{e.Pid, e.Tid}
-		switch e.Ph {
-		case "M":
-			if sawData {
-				t.Fatalf("event %d: metadata after data events", i)
-			}
-			sawMeta = true
-			if e.Name == "process_name" {
-				procs[e.Pid] = true
-			}
-			continue
-		case "B":
-			depth[tk]++
-		case "E":
-			depth[tk]--
-			if depth[tk] < 0 {
-				t.Fatalf("event %d: E without B on pid=%d tid=%d", i, e.Pid, e.Tid)
-			}
-		case "X":
-			if e.Dur < 0 {
-				t.Fatalf("event %d: negative duration %d", i, e.Dur)
-			}
-			slices[tk] = append(slices[tk], e.TS)
-		case "s", "t", "f":
-			if e.ID == "" {
-				t.Fatalf("event %d: flow without id", i)
-			}
-			// Flow must bind to an X slice starting at the same stamp on
-			// the same track.
-			found := false
-			for _, ts := range slices[tk] {
-				if ts == e.TS {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("event %d: flow %s at ts=%d pid=%d tid=%d resolves to no slice", i, e.ID, e.TS, e.Pid, e.Tid)
-			}
-		case "i":
-		default:
-			t.Fatalf("event %d: unknown phase %q", i, e.Ph)
-		}
-		sawData = true
-		if e.TS < prevTS {
-			t.Fatalf("event %d: ts %d after %d", i, e.TS, prevTS)
-		}
-		prevTS = e.TS
-	}
-	if !sawMeta || !procs[PidRouters] || !procs[PidLinks] || !procs[PidCores] {
-		t.Fatalf("missing process metadata: %v", procs)
-	}
-	for tk, d := range depth {
-		if d != 0 {
-			t.Errorf("track pid=%d tid=%d left %d spans open", tk.pid, tk.tid, d)
-		}
+	if err := ValidatePerfetto(bytes.NewReader(buf1.Bytes())); err != nil {
+		t.Fatal(err)
 	}
 	// synthetic's packet crosses 2 routers → one s + one f flow.
 	var flows int
@@ -120,6 +60,59 @@ func TestLinkTid(t *testing.T) {
 				t.Fatalf("LinkTid(%d,%d)=%d collides", node, dir, tid)
 			}
 			seen[tid] = true
+		}
+	}
+}
+
+// TestValidatePerfettoRejects feeds ValidatePerfetto a minimal valid
+// trace and one corrupt variant per rule: each must be rejected with
+// the rule's message, so a validator that always passes gets caught.
+func TestValidatePerfettoRejects(t *testing.T) {
+	meta := []string{
+		`{"name":"process_name","ph":"M","pid":1,"tid":0}`,
+		`{"name":"process_name","ph":"M","pid":2,"tid":0}`,
+		`{"name":"process_name","ph":"M","pid":3,"tid":0}`,
+	}
+	data := []string{
+		`{"name":"hop","ph":"X","ts":1,"dur":2,"pid":1,"tid":0}`,
+		`{"ph":"s","ts":1,"pid":1,"tid":0,"id":"p1"}`,
+		`{"ph":"B","ts":2,"pid":2,"tid":0}`,
+		`{"ph":"C","ts":2,"pid":5,"tid":0}`,
+		`{"ph":"i","ts":3,"pid":1,"tid":0}`,
+		`{"ph":"E","ts":3,"pid":2,"tid":0}`,
+	}
+	trace := func(evs ...string) string {
+		return `{"traceEvents":[` + strings.Join(evs, ",") + `]}`
+	}
+	valid := append(append([]string{}, meta...), data...)
+	if err := ValidatePerfetto(strings.NewReader(trace(valid...))); err != nil {
+		t.Fatalf("valid fixture rejected: %v", err)
+	}
+	with := func(i int, ev string) []string {
+		out := append([]string{}, valid...)
+		out[i] = ev
+		return out
+	}
+	for _, c := range []struct {
+		name, want string
+		evs        []string
+	}{
+		{"metadata after data", "metadata after data",
+			append(append([]string{}, valid...), `{"name":"thread_name","ph":"M","pid":1,"tid":0}`)},
+		{"unsorted ts", "not sorted", with(7, `{"ph":"C","ts":0,"pid":5,"tid":0}`)},
+		{"E without B", "E without matching B", with(5, `{"ph":"E","ts":2,"pid":2,"tid":0}`)},
+		{"unclosed span", "spans open", valid[:len(valid)-1]},
+		{"negative X duration", "negative slice duration", with(3, `{"name":"hop","ph":"X","ts":1,"dur":-1,"pid":1,"tid":0}`)},
+		{"flow without id", "flow event without id", with(4, `{"ph":"s","ts":1,"pid":1,"tid":0}`)},
+		{"flow binding to no slice", "binds to no slice", with(4, `{"ph":"f","ts":1,"pid":1,"tid":7,"id":"p1"}`)},
+		{"missing process_name", "no process_name metadata for pid 2", append(valid[:1:1], valid[2:]...)},
+		{"unknown phase", "unknown phase", with(8, `{"ph":"Q","ts":3,"pid":1,"tid":0}`)},
+		{"no events", "no trace events", nil},
+		{"not JSON", "not trace-event JSON", []string{"{"}},
+	} {
+		err := ValidatePerfetto(strings.NewReader(trace(c.evs...)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -301,7 +301,7 @@ func TraceOf(p *Plan) Trace { return trace.FromPlan(p) }
 func ReadTrace(r io.Reader) (Trace, error) { return trace.Read(r) }
 
 // Serving layer (internal/serve): an in-process dispatcher that holds
-// a pool of trained models and reusable simulators, batches concurrent
+// a pool of trained models, each with a reusable simulator, batches concurrent
 // inference requests into pipelined simulation passes, and serves
 // HTTP/JSON through Server.Handler. See cmd/l2s-serve.
 
@@ -309,11 +309,11 @@ func ReadTrace(r io.Reader) (Trace, error) { return trace.Read(r) }
 type Server = serve.Server
 
 // ServeConfig configures a Server: queue bound, batching window,
-// pipeline depth, simulator fleet size, observability wiring.
+// pipeline depth, observability wiring.
 type ServeConfig = serve.Config
 
 // ServeModel is one servable entry: a trained scheme at a precision
-// with its simulator fleet.
+// with its simulator.
 type ServeModel = serve.Model
 
 // ServeModelKey routes a request: (scheme, precision).
@@ -411,13 +411,6 @@ func AnalyzeServeTrace(l *ServeTraceLog) (*ServeTraceAnalysis, error) {
 func WriteServePerfetto(w io.Writer, l *ServeTraceLog, tl *TimelineSink, tool string, meta map[string]string) error {
 	return serve.WriteServePerfetto(w, l, tl, tool, meta)
 }
-
-// SimPool is a fixed-size pool of reusable simulator Systems — the
-// serving layer's simulator fleet, exported for direct use.
-type SimPool = cmp.Pool
-
-// NewSimPool eagerly builds n Systems sharing cfg.
-func NewSimPool(cfg SystemConfig, n int) (*SimPool, error) { return cmp.NewPool(cfg, n) }
 
 // Experiment harness — each function regenerates one table or figure
 // of the paper; see EXPERIMENTS.md for paper-vs-measured results.

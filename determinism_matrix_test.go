@@ -12,9 +12,12 @@
 // live streams for all four schemes, the fault sweep's record, served
 // logits, and the pure-observer checks. Rows that need a running
 // process (HTTP drain on SIGTERM, a mid-run /metrics scrape) wait on
-// the process's own log lines, never on a fixed sleep.
+// the process's own log lines, never on a fixed sleep. In-process rows
+// whose contract had its own test before the matrix keep that test's
+// name (TestFlightRecordDeterministicAcrossWorkers and its siblings
+// below) and run through the same runRow.
 //
-//	go test -run TestDeterminismMatrix .            # every row
+//	go test -run TestDeterminismMatrix .            # every table row
 //	go test -run 'TestDeterminismMatrix/serve' .    # one family
 package learn2scale_test
 
@@ -253,9 +256,7 @@ func matrixRows(bin string) []row {
 	serveCmd := func(args ...string) func(*testing.T, int) artifacts {
 		return cmd("l2s-serve", append(append([]string{}, script...), args...)...)
 	}
-	var servePool []*learn2scale.ServeModel // trained once, by the serve-logits row
-
-	rows := []row{
+	return []row{
 		// Command rows, longest first so the parallel tail is short.
 
 		// One scripted serving run emits the flight record, the live
@@ -370,18 +371,7 @@ func matrixRows(bin string) []row {
 			capture:  sim("-obs", "@rec.json", "-obs-timing"),
 			workers:  []int{4},
 			validate: map[string]validator{"rec.json": validRecord},
-			assert: func(t *testing.T, ref artifacts) {
-				rec := readRecord(t, ref["rec.json"])
-				workers := false
-				if rec.Profile != nil {
-					for _, c := range rec.Profile.Counters {
-						workers = workers || strings.HasPrefix(c.Name, "parallel.worker.")
-					}
-				}
-				if !workers {
-					t.Error("no per-worker pool utilization in the -obs-timing profile")
-				}
-			},
+			assert:   func(t *testing.T, ref artifacts) { requireWorkerProfile(t, ref["rec.json"]) },
 		},
 		{
 			name:     "alexnet-perfetto",
@@ -464,23 +454,6 @@ func matrixRows(bin string) []row {
 			},
 		},
 		{
-			name: "serve-logits",
-			capture: func(t *testing.T, w int) artifacts {
-				if servePool == nil {
-					servePool = trainServePool(t)
-				}
-				return captureServe(t, servePool, w, true)
-			},
-			workers: allWorkers, short: shortWorkers,
-			inProcess: true,
-			validate: map[string]validator{
-				"record.json": validServeRecord, "stream.jsonl": validServeStream, "trace.jsonl": validServeTrace(false),
-			},
-			assert: func(t *testing.T, ref artifacts) {
-				assertServeLogits(t, ref, captureServe(t, servePool, 1, false))
-			},
-		},
-		{
 			name:      "timeline-sink-pure",
 			capture:   captureTimelinePurity,
 			workers:   []int{2},
@@ -497,6 +470,58 @@ func matrixRows(bin string) []row {
 			assert:    assertPipelinePurity,
 		},
 	}
+}
+
+// In-process rows that keep the names of the tests they replaced, so
+// each contract's test ID is stable. They run through the same runRow
+// as the matrix, one after another (top-level tests never overlap
+// these, which set the worker environment variable).
+
+// TestFlightRecordDeterministicAcrossWorkers: the stable flight record
+// of the instrumented golden session (trainer, sparsifier, simulation,
+// worker pool) is a pure function of the workload.
+func TestFlightRecordDeterministicAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture: func(t *testing.T, w int) artifacts { return captureGolden(t, learn2scale.SSMask, w, false) },
+		workers: allWorkers, short: shortWorkers,
+		validate: map[string]validator{"record.json": validRecord},
+		assert:   func(t *testing.T, ref artifacts) { requireSections(t, ref["record.json"]) },
+	})
+}
+
+// TestFlightRecordRoundTrip: the record with its volatile profile
+// attached survives a read+write round trip and carries every section,
+// per-worker pool utilization included.
+func TestFlightRecordRoundTrip(t *testing.T) {
+	for _, w := range []int{1, 7} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			runRow(t, row{
+				capture:  captureProfiled,
+				workers:  []int{w},
+				validate: map[string]validator{"record.json": validRecord},
+				assert: func(t *testing.T, ref artifacts) {
+					requireSections(t, ref["record.json"])
+					requireWorkerProfile(t, ref["record.json"])
+				},
+			})
+		})
+	}
+}
+
+// TestTimelineRecordByteIdenticalAcrossWorkers: every stamp in a
+// timeline record is a simulated cycle.
+func TestTimelineRecordByteIdenticalAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture: captureTimeline,
+		workers: allWorkers, short: shortWorkers,
+		validate: map[string]validator{"timeline.tl": validTimeline},
+	})
+}
+
+// TestLiveStreamDeterministicAcrossWorkers: the deterministic live
+// stream and the record beside it, for every scheme. Under -short only
+// SS_Mask runs.
+func TestLiveStreamDeterministicAcrossWorkers(t *testing.T) {
 	for _, s := range []struct {
 		name   string
 		scheme learn2scale.Scheme
@@ -506,22 +531,53 @@ func matrixRows(bin string) []row {
 		{"ss", learn2scale.SS},
 		{"ssmask", learn2scale.SSMask},
 	} {
-		r := row{
-			name:    "live-" + s.name,
-			capture: func(t *testing.T, w int) artifacts { return captureLive(t, s.scheme, w) },
-			workers: allWorkers, short: shortWorkers,
-			skipShort: s.scheme != learn2scale.SSMask,
-			inProcess: true,
-			// Epoch windows, at least one simulation window and the
-			// final catch-all from Close.
-			validate: map[string]validator{"stream.jsonl": validStream(5), "record.json": validRecord},
-		}
-		if s.scheme == learn2scale.SSMask {
-			r.assert = assertTapPure
-		}
-		rows = append(rows, r)
+		t.Run(s.name, func(t *testing.T) {
+			runRow(t, row{
+				capture: func(t *testing.T, w int) artifacts { return captureGolden(t, s.scheme, w, true) },
+				workers: allWorkers, short: shortWorkers,
+				skipShort: s.scheme != learn2scale.SSMask,
+				// Epoch windows, at least one simulation window and the
+				// final catch-all from Close.
+				validate: map[string]validator{"stream.jsonl": validStream(5), "record.json": validRecord},
+			})
+		})
 	}
-	return rows
+}
+
+// TestTapIsPureObserver: attaching a live plane leaves the flight
+// record byte for byte what it is without one.
+func TestTapIsPureObserver(t *testing.T) {
+	runRow(t, row{
+		capture: func(t *testing.T, w int) artifacts { return captureGolden(t, learn2scale.SSMask, w, true) },
+		assert:  assertTapPure,
+	})
+}
+
+// TestServeRecordDeterministicAcrossWorkers: the served stream, stable
+// record and every response's logit bits, with the served accounting.
+func TestServeRecordDeterministicAcrossWorkers(t *testing.T) {
+	pool := servePool(t)
+	runRow(t, row{
+		capture: func(t *testing.T, w int) artifacts { return captureServe(t, pool, w, false) },
+		workers: allWorkers, short: shortWorkers,
+		validate: map[string]validator{"record.json": validServeRecord, "stream.jsonl": validServeStream},
+		assert:   assertServeAccounting,
+	})
+}
+
+// TestServeTraceIsPureObservation: the stable serve-trace log is
+// byte-identical at every worker count, and attaching its sink changes
+// nothing it observes.
+func TestServeTraceIsPureObservation(t *testing.T) {
+	pool := servePool(t)
+	runRow(t, row{
+		capture: func(t *testing.T, w int) artifacts { return captureServe(t, pool, w, true) },
+		workers: allWorkers, short: shortWorkers,
+		validate: map[string]validator{"trace.jsonl": validServeTrace(false)},
+		assert: func(t *testing.T, ref artifacts) {
+			assertTracePure(t, ref, captureServe(t, pool, 1, false))
+		},
+	})
 }
 
 // Commands.
@@ -802,33 +858,65 @@ func captureQuant(t *testing.T, workers int) artifacts {
 	return artifacts{"record.json": recordBytes(t, reg, meta), "logits": logits}
 }
 
-// captureLive runs the golden session with a deterministic live plane
-// tapped into the registry: windows close at serial boundaries and
-// every aggregate is order-independent.
-func captureLive(t *testing.T, scheme learn2scale.Scheme, workers int) artifacts {
+// captureGolden runs the golden session under scheme and returns its
+// stable flight record. tapped attaches a deterministic live plane and
+// adds its stream: windows close at serial boundaries and every
+// aggregate is order-independent.
+func captureGolden(t *testing.T, scheme learn2scale.Scheme, workers int, tapped bool) artifacts {
 	reg := observed(t, workers)
 	var stream bytes.Buffer
-	plane := live.New(live.Config{Out: &stream}) // Clock 0: deterministic mode
-	reg.SetTap(plane)
+	var plane *live.Plane
+	if tapped {
+		plane = live.New(live.Config{Out: &stream}) // Clock 0: deterministic mode
+		reg.SetTap(plane)
+	}
 	_, m := goldenTrain(t, scheme, reg)
 	if _, err := m.Simulate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := plane.Close(); err != nil {
+	arts := artifacts{}
+	if plane != nil {
+		if err := plane.Close(); err != nil {
+			t.Fatal(err)
+		}
+		arts["stream.jsonl"] = stream.Bytes()
+	}
+	arts["record.json"] = recordBytes(t, reg, map[string]string{"net": "mlp"})
+	return arts
+}
+
+// captureProfiled runs the golden session and returns its record with
+// the volatile profile attached.
+func captureProfiled(t *testing.T, workers int) artifacts {
+	reg := observed(t, workers)
+	_, m := goldenTrain(t, learn2scale.SSMask, reg)
+	if _, err := m.Simulate(); err != nil {
 		t.Fatal(err)
 	}
-	return artifacts{"stream.jsonl": stream.Bytes(), "record.json": recordBytes(t, reg, map[string]string{"net": "mlp"})}
+	var buf bytes.Buffer
+	if err := reg.Record("test", map[string]string{"net": "mlp"}, true).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return artifacts{"record.json": buf.Bytes()}
+}
+
+// captureTimeline simulates the golden session with a timeline sink:
+// every stamp is a simulated cycle.
+func captureTimeline(t *testing.T, workers int) artifacts {
+	setWorkers(t, workers)
+	_, m := goldenTrain(t, learn2scale.SSMask, nil)
+	sink := learn2scale.NewTimeline()
+	if _, err := m.SimulateTimeline(sink, 0); err != nil {
+		t.Fatal(err)
+	}
+	return artifacts{"timeline.tl": timelineBytes(t, sink)}
 }
 
 // assertTapPure reruns the tapped session without the plane: tapping
 // metrics must never change the record.
 func assertTapPure(t *testing.T, ref artifacts) {
-	reg := observed(t, 1)
-	_, m := goldenTrain(t, learn2scale.SSMask, reg)
-	if _, err := m.Simulate(); err != nil {
-		t.Fatal(err)
-	}
-	if untapped := recordBytes(t, reg, map[string]string{"net": "mlp"}); !bytes.Equal(untapped, ref["record.json"]) {
+	untapped := captureGolden(t, learn2scale.SSMask, 1, false)["record.json"]
+	if !bytes.Equal(untapped, ref["record.json"]) {
 		t.Errorf("attaching a live plane changed the flight record: %s", firstDiff(untapped, ref["record.json"]))
 	}
 }
@@ -870,10 +958,25 @@ var serveScript = []learn2scale.ServeScriptStep{
 	{Model: "struct", Samples: []int{0, 5}},
 }
 
-// trainServePool trains every scheme at both precisions once, at one
-// worker. The serve-logits row serves this pool at each worker count;
+func scriptRequests() int {
+	n := 0
+	for _, s := range serveScript {
+		n += len(s.Samples)
+	}
+	return n
+}
+
+// trainedServePool is servePool's cache. The tests that read it run
+// one after another, never in parallel.
+var trainedServePool []*learn2scale.ServeModel
+
+// servePool trains every scheme at both precisions once, at one
+// worker. The serving tests serve this pool at each worker count;
 // training plus serving at each count is the serve-script row's job.
-func trainServePool(t *testing.T) []*learn2scale.ServeModel {
+func servePool(t *testing.T) []*learn2scale.ServeModel {
+	if trainedServePool != nil {
+		return trainedServePool
+	}
 	setWorkers(t, 1)
 	pool, err := learn2scale.NewServeModels(learn2scale.ServeConfig{}, learn2scale.Table4Nets(learn2scale.Quick)[0],
 		learn2scale.MNISTLike(80, 40, 3),
@@ -882,6 +985,7 @@ func trainServePool(t *testing.T) []*learn2scale.ServeModel {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trainedServePool = pool
 	return pool
 }
 
@@ -941,14 +1045,11 @@ func captureServe(t *testing.T, pool []*learn2scale.ServeModel, workers int, tra
 	return arts
 }
 
-// assertServeLogits checks the served accounting against the script
-// and that tracing is a pure observer: without the sink the stream,
-// record and logits stay byte for byte the same.
-func assertServeLogits(t *testing.T, ref, untraced artifacts) {
-	requests := 0
-	for _, s := range serveScript {
-		requests += len(s.Samples)
-	}
+// assertServeAccounting checks the served accounting against the
+// script: one response per request, the serving counters in the stable
+// record, and one serve.batch window per batch in the stream.
+func assertServeAccounting(t *testing.T, ref artifacts) {
+	requests := scriptRequests()
 	if n := bytes.Count(ref["logits"], []byte("\n")); n != requests {
 		t.Errorf("script answered %d responses, want %d", n, requests)
 	}
@@ -972,11 +1073,17 @@ func assertServeLogits(t *testing.T, ref, untraced artifacts) {
 	if batches != len(serveScript) {
 		t.Errorf("%d serve.batch windows, want %d", batches, len(serveScript))
 	}
+}
+
+// assertTracePure checks that the traced capture's log records every
+// batch and request, and that tracing is a pure observer: without the
+// sink the stream, record and logits stay byte for byte the same.
+func assertTracePure(t *testing.T, ref, untraced artifacts) {
 	tlog, err := learn2scale.ReadServeTraceLog(bytes.NewReader(ref["trace.jsonl"]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tlog.Batches) != len(serveScript) || len(tlog.Reqs) != requests {
+	if requests := scriptRequests(); len(tlog.Batches) != len(serveScript) || len(tlog.Reqs) != requests {
 		t.Errorf("trace has %d batches and %d requests, want %d and %d", len(tlog.Batches), len(tlog.Reqs), len(serveScript), requests)
 	}
 	for _, name := range []string{"stream.jsonl", "record.json", "logits"} {
@@ -1268,6 +1375,21 @@ func requireSections(t *testing.T, b []byte) {
 	if !layer {
 		t.Error("record has no per-layer simulation gauges")
 	}
+}
+
+// requireWorkerProfile: a record written with its volatile profile
+// carries per-worker pool utilization.
+func requireWorkerProfile(t *testing.T, b []byte) {
+	rec := readRecord(t, b)
+	if rec.Profile == nil {
+		t.Fatal("record has no profile section")
+	}
+	for _, c := range rec.Profile.Counters {
+		if strings.HasPrefix(c.Name, "parallel.worker.") {
+			return
+		}
+	}
+	t.Error("no per-worker pool utilization in the profile")
 }
 
 var totalLine = regexp.MustCompile(`(?m)^TOTAL\s+(\d+)`)

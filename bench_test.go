@@ -306,8 +306,8 @@ func BenchmarkTrainEpochLive(b *testing.B) {
 // BenchmarkTrainStepSteadyState measures one serial steady-state
 // training step (forward, loss, backward, SGD update) on a small conv
 // net after layer buffers are warm. The scratch-arena contract pinned
-// by nn.TestTrainStepZeroAlloc shows up here as 0 allocs/op — CI's
-// bench-smoke job fails if this benchmark ever reports otherwise.
+// by nn.TestTrainStepZeroAlloc (the same network and batch) shows up
+// here as 0 allocs/op.
 func BenchmarkTrainStepSteadyState(b *testing.B) {
 	b.Setenv(learn2scale.EnvWorkers, "1")
 	rng := rand.New(rand.NewSource(7))

@@ -5,20 +5,20 @@
 //
 // A row captures its artifacts once per worker count, compares every
 // artifact byte for byte against the first count's, runs its
-// validators on the first capture, and then its own assertions. Most
-// captures run a cmd/ binary (built once per test run) with each
-// output flag pointed into a fresh directory; the rest run in process
-// because no CLI exposes what they compare: bitwise quantized logits,
-// live streams for all four schemes, the fault sweep's record, served
-// logits, and the pure-observer checks. Rows that need a running
-// process (HTTP drain on SIGTERM, a mid-run /metrics scrape) wait on
-// the process's own log lines, never on a fixed sleep. In-process rows
-// whose contract had its own test before the matrix keep that test's
-// name (TestFlightRecordDeterministicAcrossWorkers and its siblings
-// below) and run through the same runRow.
+// validators on the first capture, and then its own assertions.
+// TestDeterminismMatrix holds the rows that run a cmd/ binary (built
+// once per test run) with each output flag pointed into a fresh
+// directory. The other rows run in process, because no CLI exposes
+// what they compare (bitwise quantized logits, live streams for all
+// four schemes, the fault sweep's record, served logits, the
+// pure-observer checks); each is a named test, TestFlightRecord...
+// and its siblings below, run through the same runRow. Rows that need
+// a running process (HTTP drain on SIGTERM, a mid-run /metrics scrape)
+// wait on the process's own log lines, never on a fixed sleep.
 //
 //	go test -run TestDeterminismMatrix .            # every table row
 //	go test -run 'TestDeterminismMatrix/serve' .    # one family
+//	go test -run 'Record|Pure|LiveStream' .         # the in-process rows
 package learn2scale_test
 
 import (
@@ -75,11 +75,6 @@ type row struct {
 	// assert holds the row's other assertions, run on the first
 	// capture.
 	assert func(t *testing.T, ref artifacts)
-	// inProcess rows change process-wide state (the worker environment
-	// variable, the parallel package's registry), so they run one after
-	// another in the "in-process" group, beside the command rows, which
-	// run in parallel.
-	inProcess bool
 }
 
 var (
@@ -87,30 +82,27 @@ var (
 	shortWorkers = []int{1, 7}
 )
 
+// TestDeterminismMatrix runs the command rows, in parallel. They need
+// the built binaries and several CPU-minutes, so they run in the full
+// `go test ./...` only; -short (the race run, whose race detector
+// cannot see into the binaries) skips them. The in-process rows are
+// the named tests further down.
 func TestDeterminismMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("command rows run without -short")
+	}
 	bin := t.TempDir()
 	// -s -w: no symbol table or DWARF, which halves the link time.
 	build := exec.Command("go", "build", "-ldflags=-s -w", "-o", bin+string(filepath.Separator), "./cmd/...")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build commands: %v\n%s", err, out)
 	}
-	var inProcess []row
 	for _, r := range matrixRows(bin) {
-		if r.inProcess {
-			inProcess = append(inProcess, r)
-			continue
-		}
 		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
 			runRow(t, r)
 		})
 	}
-	t.Run("in-process", func(t *testing.T) {
-		t.Parallel()
-		for _, r := range inProcess {
-			t.Run(r.name, func(t *testing.T) { runRow(t, r) })
-		}
-	})
 }
 
 // runRow captures, compares, validates and asserts one row.
@@ -264,7 +256,7 @@ func matrixRows(bin string) []row {
 		{
 			name:    "serve-script",
 			capture: serveCmd("-obs", "@rec.json", "-live", "@live.jsonl", "-serve-trace", "@trace.jsonl"),
-			workers: allWorkers, short: shortWorkers,
+			workers: allWorkers,
 			validate: map[string]validator{
 				"rec.json": validServeRecord, "live.jsonl": validServeStream, "trace.jsonl": validServeTrace(false),
 			},
@@ -275,9 +267,9 @@ func matrixRows(bin string) []row {
 			validate: map[string]validator{"stdout": nonEmpty},
 		},
 		{
-			name:    "train-live",
-			capture: cmd("l2s-train", "-net", "mlp", "-epochs", "3", "-q", "-live", "@live.jsonl"),
-			workers: allWorkers, short: shortWorkers,
+			name:     "train-live",
+			capture:  cmd("l2s-train", "-net", "mlp", "-epochs", "3", "-q", "-live", "@live.jsonl"),
+			workers:  allWorkers,
 			validate: map[string]validator{"live.jsonl": validStream(4)},
 			assert: func(t *testing.T, ref artifacts) {
 				top := runCmd(t, bin, 0, "l2s-top", "-follow", writeArtifact(t, ref, "live.jsonl"), "-once")
@@ -295,9 +287,9 @@ func matrixRows(bin string) []row {
 		// simulate run. The zero-fault run writes only the record, so
 		// its equality also shows -live and -timeline observe purely.
 		{
-			name:    "sim",
-			capture: sim("-obs", "@rec.json", "-live", "@live.jsonl", "-timeline", "@tl.tl"),
-			workers: allWorkers, short: shortWorkers,
+			name:     "sim",
+			capture:  sim("-obs", "@rec.json", "-live", "@live.jsonl", "-timeline", "@tl.tl"),
+			workers:  allWorkers,
 			validate: map[string]validator{"rec.json": validRecord, "live.jsonl": validStream(2), "tl.tl": validTimeline},
 			assert: func(t *testing.T, ref artifacts) {
 				requireSections(t, ref["rec.json"])
@@ -308,15 +300,15 @@ func matrixRows(bin string) []row {
 			},
 		},
 		{
-			name:    "sim-faults",
-			capture: sim("-fault-rate", "0.1", "-obs", "@rec.json"),
-			workers: allWorkers, short: shortWorkers,
+			name:     "sim-faults",
+			capture:  sim("-fault-rate", "0.1", "-obs", "@rec.json"),
+			workers:  allWorkers,
 			validate: map[string]validator{"rec.json": validRecord},
 		},
 		{
-			name:    "sim-pipeline",
-			capture: sim("-pipeline-depth", "2", "-pipeline-batches", "3", "-obs", "@rec.json", "-timeline", "@tl.tl"),
-			workers: allWorkers, short: shortWorkers,
+			name:     "sim-pipeline",
+			capture:  sim("-pipeline-depth", "2", "-pipeline-batches", "3", "-obs", "@rec.json", "-timeline", "@tl.tl"),
+			workers:  allWorkers,
 			validate: map[string]validator{"rec.json": validRecord, "tl.tl": validTimeline},
 		},
 		// The health rule fails the run if quantized top-1 falls more
@@ -325,7 +317,7 @@ func matrixRows(bin string) []row {
 			name: "sim-int16",
 			capture: sim("-precision", "int16", "-obs", "@rec.json", "-live", "@live.jsonl",
 				"-health", "quant.accuracy_delta.last > 0.02"),
-			workers: allWorkers, short: shortWorkers,
+			workers:  allWorkers,
 			validate: map[string]validator{"rec.json": validRecord, "live.jsonl": validStream(1)},
 		},
 		{
@@ -423,59 +415,14 @@ func matrixRows(bin string) []row {
 				}
 			},
 		},
-
-		// In-process rows.
-		{
-			name:      "quant-logits",
-			capture:   captureQuant,
-			workers:   allWorkers,
-			inProcess: true,
-			validate:  map[string]validator{"record.json": validRecord},
-		},
-		{
-			name:      "fault-sweep",
-			capture:   captureFaultSweep,
-			workers:   allWorkers,
-			inProcess: true,
-			validate:  map[string]validator{"record.json": validRecord},
-			assert: func(t *testing.T, ref artifacts) {
-				// One gauge set per (scheme, rate) cell under the grid
-				// position names the sweep promises.
-				for _, want := range []string{
-					"faults.baseline.rate00.accuracy",
-					"faults.ssmask.rate02.lost_transfers",
-					"faults.structure.rate01.retransmits",
-					"faults.ss.rate02.total_cycles",
-				} {
-					if !bytes.Contains(ref["record.json"], []byte(want)) {
-						t.Errorf("fault record missing gauge %q", want)
-					}
-				}
-			},
-		},
-		{
-			name:      "timeline-sink-pure",
-			capture:   captureTimelinePurity,
-			workers:   []int{2},
-			inProcess: true,
-			validate:  map[string]validator{"timeline.tl": validTimeline},
-			assert:    assertTimelinePurity,
-		},
-		{
-			name:      "pipeline-sink-pure",
-			capture:   capturePipelinePurity,
-			workers:   []int{2},
-			inProcess: true,
-			validate:  map[string]validator{"timeline.tl": validTimeline},
-			assert:    assertPipelinePurity,
-		},
 	}
 }
 
-// In-process rows that keep the names of the tests they replaced, so
-// each contract's test ID is stable. They run through the same runRow
-// as the matrix, one after another (top-level tests never overlap
-// these, which set the worker environment variable).
+// In-process rows. Each keeps the name of the test it replaced, so
+// every contract's test ID is stable, and runs through the same runRow
+// as the matrix. Top-level tests run one after another, so these may
+// set the worker environment variable and the parallel package's
+// registry.
 
 // TestFlightRecordDeterministicAcrossWorkers: the stable flight record
 // of the instrumented golden session (trainer, sparsifier, simulation,
@@ -512,9 +459,64 @@ func TestFlightRecordRoundTrip(t *testing.T) {
 // timeline record is a simulated cycle.
 func TestTimelineRecordByteIdenticalAcrossWorkers(t *testing.T) {
 	runRow(t, row{
-		capture: captureTimeline,
-		workers: allWorkers, short: shortWorkers,
+		capture:  captureTimeline,
+		workers:  allWorkers,
 		validate: map[string]validator{"timeline.tl": validTimeline},
+	})
+}
+
+// TestTimelineSinkPureObservation: attaching a timeline sink leaves
+// the simulation report unchanged.
+func TestTimelineSinkPureObservation(t *testing.T) {
+	runRow(t, row{
+		capture:  captureTimelinePurity,
+		workers:  []int{2},
+		validate: map[string]validator{"timeline.tl": validTimeline},
+		assert:   assertTimelinePurity,
+	})
+}
+
+// TestPipelineTimelinePureObservation: the same for a pipelined run.
+func TestPipelineTimelinePureObservation(t *testing.T) {
+	runRow(t, row{
+		capture:  capturePipelinePurity,
+		workers:  []int{2},
+		validate: map[string]validator{"timeline.tl": validTimeline},
+		assert:   assertPipelinePurity,
+	})
+}
+
+// TestQuantRecordsByteIdenticalAcrossWorkers: the int16 record and
+// every quantized logit, bit for bit.
+func TestQuantRecordsByteIdenticalAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture:  captureQuant,
+		workers:  allWorkers,
+		validate: map[string]validator{"record.json": validRecord},
+	})
+}
+
+// TestFaultRecordDeterministicAcrossWorkers: the -exp faults sweep's
+// record and rows.
+func TestFaultRecordDeterministicAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture:  captureFaultSweep,
+		workers:  allWorkers,
+		validate: map[string]validator{"record.json": validRecord},
+		assert: func(t *testing.T, ref artifacts) {
+			// One gauge set per (scheme, rate) cell under the grid
+			// position names the sweep promises.
+			for _, want := range []string{
+				"faults.baseline.rate00.accuracy",
+				"faults.ssmask.rate02.lost_transfers",
+				"faults.structure.rate01.retransmits",
+				"faults.ss.rate02.total_cycles",
+			} {
+				if !bytes.Contains(ref["record.json"], []byte(want)) {
+					t.Errorf("fault record missing gauge %q", want)
+				}
+			}
+		},
 	})
 }
 
@@ -553,12 +555,12 @@ func TestTapIsPureObserver(t *testing.T) {
 	})
 }
 
-// TestServeRecordDeterministicAcrossWorkers: the served stream, stable
-// record and every response's logit bits, with the served accounting.
+// TestServeRecordDeterministicAcrossWorkers: training plus serving
+// gives the same stream, stable record and response logit bits, with
+// the served accounting.
 func TestServeRecordDeterministicAcrossWorkers(t *testing.T) {
-	pool := servePool(t)
 	runRow(t, row{
-		capture: func(t *testing.T, w int) artifacts { return captureServe(t, pool, w, false) },
+		capture: func(t *testing.T, w int) artifacts { return captureServe(t, w, false) },
 		workers: allWorkers, short: shortWorkers,
 		validate: map[string]validator{"record.json": validServeRecord, "stream.jsonl": validServeStream},
 		assert:   assertServeAccounting,
@@ -569,13 +571,12 @@ func TestServeRecordDeterministicAcrossWorkers(t *testing.T) {
 // byte-identical at every worker count, and attaching its sink changes
 // nothing it observes.
 func TestServeTraceIsPureObservation(t *testing.T) {
-	pool := servePool(t)
 	runRow(t, row{
-		capture: func(t *testing.T, w int) artifacts { return captureServe(t, pool, w, true) },
+		capture: func(t *testing.T, w int) artifacts { return captureServe(t, w, true) },
 		workers: allWorkers, short: shortWorkers,
 		validate: map[string]validator{"trace.jsonl": validServeTrace(false)},
 		assert: func(t *testing.T, ref artifacts) {
-			assertTracePure(t, ref, captureServe(t, pool, 1, false))
+			assertTracePure(t, ref, captureServe(t, 1, false))
 		},
 	})
 }
@@ -793,21 +794,10 @@ func goldenTrain(t *testing.T, scheme learn2scale.Scheme, reg *obs.Registry) (*l
 }
 
 // setWorkers points the worker environment variable at n for one
-// in-process capture. Not t.Setenv: the in-process group runs in
-// parallel with the command rows, which set their count with -workers.
+// in-process capture.
 func setWorkers(t *testing.T, n int) {
 	t.Helper()
-	old, had := os.LookupEnv(learn2scale.EnvWorkers)
-	if err := os.Setenv(learn2scale.EnvWorkers, strconv.Itoa(n)); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if had {
-			os.Setenv(learn2scale.EnvWorkers, old)
-		} else {
-			os.Unsetenv(learn2scale.EnvWorkers)
-		}
-	})
+	t.Setenv(learn2scale.EnvWorkers, strconv.Itoa(n))
 }
 
 // observed sets the worker count and points the parallel package at a
@@ -966,34 +956,11 @@ func scriptRequests() int {
 	return n
 }
 
-// trainedServePool is servePool's cache. The tests that read it run
-// one after another, never in parallel.
-var trainedServePool []*learn2scale.ServeModel
-
-// servePool trains every scheme at both precisions once, at one
-// worker. The serving tests serve this pool at each worker count;
-// training plus serving at each count is the serve-script row's job.
-func servePool(t *testing.T) []*learn2scale.ServeModel {
-	if trainedServePool != nil {
-		return trainedServePool
-	}
-	setWorkers(t, 1)
-	pool, err := learn2scale.NewServeModels(learn2scale.ServeConfig{}, learn2scale.Table4Nets(learn2scale.Quick)[0],
-		learn2scale.MNISTLike(80, 40, 3),
-		[]learn2scale.Scheme{learn2scale.Baseline, learn2scale.StructureLevel, learn2scale.SS, learn2scale.SSMask},
-		[]learn2scale.Precision{learn2scale.Float32, learn2scale.Int16}, 4, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainedServePool = pool
-	return pool
-}
-
-// captureServe replays serveScript through the full serving layer over
-// the trained pool, returning the live stream, the stable record,
-// every response's logit bits and, when traced, the stable serve-trace
-// log.
-func captureServe(t *testing.T, pool []*learn2scale.ServeModel, workers int, traced bool) artifacts {
+// captureServe trains every scheme at both precisions and replays
+// serveScript through the full serving layer, returning the live
+// stream, the stable record, every response's logit bits and, when
+// traced, the stable serve-trace log.
+func captureServe(t *testing.T, workers int, traced bool) artifacts {
 	reg := observed(t, workers)
 	var stream, trace bytes.Buffer
 	plane := live.New(live.Config{Out: &stream})
@@ -1004,12 +971,12 @@ func captureServe(t *testing.T, pool []*learn2scale.ServeModel, workers int, tra
 		sink = learn2scale.NewServeTraceSink(&trace, learn2scale.ServeTraceOptions{Stable: true, Tool: "test"})
 		cfg.Trace = sink
 	}
-	models := make([]*learn2scale.ServeModel, len(pool))
-	for i, m := range pool {
-		var err error
-		if models[i], err = learn2scale.NewServeModel(cfg, m.TM, m.Key.Precision, m.Samples); err != nil {
-			t.Fatal(err)
-		}
+	models, err := learn2scale.NewServeModels(cfg, learn2scale.Table4Nets(learn2scale.Quick)[0],
+		learn2scale.MNISTLike(80, 40, 3),
+		[]learn2scale.Scheme{learn2scale.Baseline, learn2scale.StructureLevel, learn2scale.SS, learn2scale.SSMask},
+		[]learn2scale.Precision{learn2scale.Float32, learn2scale.Int16}, 4, 3, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	srv, err := learn2scale.NewServer(cfg, models)
 	if err != nil {
@@ -1056,9 +1023,15 @@ func assertServeAccounting(t *testing.T, ref artifacts) {
 	rec := readRecord(t, ref["record.json"])
 	want := map[string]int64{"serve.requests": int64(requests), "serve.responses": int64(requests), "serve.batches": int64(len(serveScript))}
 	for _, c := range rec.Counters {
-		if v, ok := want[c.Name]; ok && c.Value != v {
-			t.Errorf("record counter %s = %d, want %d", c.Name, c.Value, v)
+		if v, ok := want[c.Name]; ok {
+			if c.Value != v {
+				t.Errorf("record counter %s = %d, want %d", c.Name, c.Value, v)
+			}
+			delete(want, c.Name)
 		}
+	}
+	for name := range want {
+		t.Errorf("record is missing counter %s", name)
 	}
 	snaps, err := live.ReadStream(bytes.NewReader(ref["stream.jsonl"]))
 	if err != nil {

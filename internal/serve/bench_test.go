@@ -31,7 +31,7 @@ import (
 // benchmarks in declaration order, and running the pair before the
 // multi-goroutine load benchmarks keeps both sides on the same
 // processor frequency state — turbo decay during the load benchmarks
-// otherwise lands unevenly on a comparison gated at ±2%+1ns.
+// otherwise lands unevenly on a comparison of a few nanoseconds.
 var traceProbe bool
 
 func traceOverheadServer() (*Server, *pending) {
@@ -42,8 +42,8 @@ func traceOverheadServer() (*Server, *pending) {
 
 // A fixed observed latency keeps the histogram's bucket search on one
 // path for both sides of the pair; a live time.Since would drift
-// across buckets as the benchmark runs and add noise the ±1ns gate
-// cannot absorb.
+// across buckets as the benchmark runs and add noise larger than the
+// difference the pair measures.
 const traceOverheadLatency = 250 * time.Microsecond
 
 func BenchmarkServeTraceOverheadBase(b *testing.B) {

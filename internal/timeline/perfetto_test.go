@@ -40,10 +40,15 @@ func TestWritePerfettoStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// synthetic's packet crosses 2 routers → one s + one f flow.
+	// ValidatePerfetto also accepts counter ("C") events, which only the
+	// serving export writes; a simulation-only export has none.
 	var flows int
-	for _, e := range tr.TraceEvents {
-		if e.Ph == "s" || e.Ph == "t" || e.Ph == "f" {
+	for i, e := range tr.TraceEvents {
+		switch e.Ph {
+		case "s", "t", "f":
 			flows++
+		case "C":
+			t.Fatalf("event %d: counter event in a simulation-only export", i)
 		}
 	}
 	if flows != 2 {

@@ -82,29 +82,6 @@ var (
 	shortWorkers = []int{1, 7}
 )
 
-// TestDeterminismMatrix runs the command rows, in parallel. They need
-// the built binaries and several CPU-minutes, so they run in the full
-// `go test ./...` only; -short (the race run, whose race detector
-// cannot see into the binaries) skips them. The in-process rows are
-// the named tests further down.
-func TestDeterminismMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("command rows run without -short")
-	}
-	bin := t.TempDir()
-	// -s -w: no symbol table or DWARF, which halves the link time.
-	build := exec.Command("go", "build", "-ldflags=-s -w", "-o", bin+string(filepath.Separator), "./cmd/...")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build commands: %v\n%s", err, out)
-	}
-	for _, r := range matrixRows(bin) {
-		t.Run(r.name, func(t *testing.T) {
-			t.Parallel()
-			runRow(t, r)
-		})
-	}
-}
-
 // runRow captures, compares, validates and asserts one row.
 func runRow(t *testing.T, r row) {
 	workers := r.workers
@@ -232,6 +209,196 @@ func TestDeterminismMatrixSelfTest(t *testing.T) {
 	}
 	if errs := checkRow([]int{0}, map[string]validator{"tl.tl": validTimeline}, []artifacts{{}}); len(errs) != 1 {
 		t.Errorf("validated artifact never captured: got %v, want one error", errs)
+	}
+}
+
+// In-process rows. Each keeps the name of the test it replaced, so
+// every contract's test ID is stable, and runs through the same runRow
+// as the matrix. Top-level tests run one after another, so these may
+// set the worker environment variable and the parallel package's
+// registry. Go runs tests in file-name order, then declaration order:
+// this file sorts after learn2scale_test.go and declares these before
+// TestDeterminismMatrix, so under `go test ./...` the mostly serial
+// tests run beside other packages' tests, and the matrix's parallel
+// rows, which fill every CPU, run last.
+
+// TestFlightRecordDeterministicAcrossWorkers: the stable flight record
+// of the instrumented golden session (trainer, sparsifier, simulation,
+// worker pool) is a pure function of the workload.
+func TestFlightRecordDeterministicAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture: func(t *testing.T, w int) artifacts { return captureGolden(t, learn2scale.SSMask, w, false) },
+		workers: allWorkers, short: shortWorkers,
+		validate: map[string]validator{"record.json": validRecord},
+		assert:   func(t *testing.T, ref artifacts) { requireSections(t, ref["record.json"]) },
+	})
+}
+
+// TestFlightRecordRoundTrip: the record with its volatile profile
+// attached survives a read+write round trip and carries every section,
+// per-worker pool utilization included.
+func TestFlightRecordRoundTrip(t *testing.T) {
+	for _, w := range []int{1, 7} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			runRow(t, row{
+				capture:  captureProfiled,
+				workers:  []int{w},
+				validate: map[string]validator{"record.json": validRecord},
+				assert: func(t *testing.T, ref artifacts) {
+					requireSections(t, ref["record.json"])
+					requireWorkerProfile(t, ref["record.json"])
+				},
+			})
+		})
+	}
+}
+
+// TestTimelineRecordByteIdenticalAcrossWorkers: every stamp in a
+// timeline record is a simulated cycle.
+func TestTimelineRecordByteIdenticalAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture:  captureTimeline,
+		workers:  allWorkers,
+		validate: map[string]validator{"timeline.tl": validTimeline},
+	})
+}
+
+// TestTimelineSinkPureObservation: attaching a timeline sink leaves
+// the simulation report unchanged.
+func TestTimelineSinkPureObservation(t *testing.T) {
+	runRow(t, row{
+		capture:  captureTimelinePurity,
+		workers:  []int{2},
+		validate: map[string]validator{"timeline.tl": validTimeline},
+		assert:   assertTimelinePurity,
+	})
+}
+
+// TestPipelineTimelinePureObservation: the same for a pipelined run.
+func TestPipelineTimelinePureObservation(t *testing.T) {
+	runRow(t, row{
+		capture:  capturePipelinePurity,
+		workers:  []int{2},
+		validate: map[string]validator{"timeline.tl": validTimeline},
+		assert:   assertPipelinePurity,
+	})
+}
+
+// TestQuantRecordsByteIdenticalAcrossWorkers: the int16 record and
+// every quantized logit, bit for bit.
+func TestQuantRecordsByteIdenticalAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture:  captureQuant,
+		workers:  allWorkers,
+		validate: map[string]validator{"record.json": validRecord},
+	})
+}
+
+// TestFaultRecordDeterministicAcrossWorkers: the -exp faults sweep's
+// record and rows.
+func TestFaultRecordDeterministicAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture:  captureFaultSweep,
+		workers:  allWorkers,
+		validate: map[string]validator{"record.json": validRecord},
+		assert: func(t *testing.T, ref artifacts) {
+			// One gauge set per (scheme, rate) cell under the grid
+			// position names the sweep promises.
+			for _, want := range []string{
+				"faults.baseline.rate00.accuracy",
+				"faults.ssmask.rate02.lost_transfers",
+				"faults.structure.rate01.retransmits",
+				"faults.ss.rate02.total_cycles",
+			} {
+				if !bytes.Contains(ref["record.json"], []byte(want)) {
+					t.Errorf("fault record missing gauge %q", want)
+				}
+			}
+		},
+	})
+}
+
+// TestLiveStreamDeterministicAcrossWorkers: the deterministic live
+// stream and the record beside it, for every scheme. Under -short only
+// SS_Mask runs.
+func TestLiveStreamDeterministicAcrossWorkers(t *testing.T) {
+	for _, s := range []struct {
+		name   string
+		scheme learn2scale.Scheme
+	}{
+		{"baseline", learn2scale.Baseline},
+		{"struct", learn2scale.StructureLevel},
+		{"ss", learn2scale.SS},
+		{"ssmask", learn2scale.SSMask},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			runRow(t, row{
+				capture: func(t *testing.T, w int) artifacts { return captureGolden(t, s.scheme, w, true) },
+				workers: allWorkers, short: shortWorkers,
+				skipShort: s.scheme != learn2scale.SSMask,
+				// Epoch windows, at least one simulation window and the
+				// final catch-all from Close.
+				validate: map[string]validator{"stream.jsonl": validStream(5), "record.json": validRecord},
+			})
+		})
+	}
+}
+
+// TestTapIsPureObserver: attaching a live plane leaves the flight
+// record byte for byte what it is without one.
+func TestTapIsPureObserver(t *testing.T) {
+	runRow(t, row{
+		capture: func(t *testing.T, w int) artifacts { return captureGolden(t, learn2scale.SSMask, w, true) },
+		assert:  assertTapPure,
+	})
+}
+
+// TestServeRecordDeterministicAcrossWorkers: a pool trained and served
+// at each worker count gives the same stream, stable record and
+// response logit bits, with the served accounting.
+func TestServeRecordDeterministicAcrossWorkers(t *testing.T) {
+	runRow(t, row{
+		capture: func(t *testing.T, w int) artifacts { return captureServe(t, servePool(t, w), w, false) },
+		workers: allWorkers, short: shortWorkers,
+		validate: map[string]validator{"record.json": validServeRecord, "stream.jsonl": validServeStream},
+		assert:   assertServeAccounting,
+	})
+}
+
+// TestServeTraceIsPureObservation: the stable serve-trace log is
+// byte-identical at every worker count, and attaching its sink changes
+// nothing it observes.
+func TestServeTraceIsPureObservation(t *testing.T) {
+	runRow(t, row{
+		capture: func(t *testing.T, w int) artifacts { return captureServe(t, servePool(t, w), w, true) },
+		workers: allWorkers, short: shortWorkers,
+		validate: map[string]validator{"trace.jsonl": validServeTrace(false)},
+		assert: func(t *testing.T, ref artifacts) {
+			assertTracePure(t, ref, captureServe(t, servePool(t, 1), 1, false))
+		},
+	})
+}
+
+// TestDeterminismMatrix runs the command rows, in parallel. They need
+// the built binaries and several CPU-minutes, so they run in the full
+// `go test ./...` only; -short (the race run, whose race detector
+// cannot see into the binaries) skips them. The in-process rows are
+// the named tests further down.
+func TestDeterminismMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("command rows run without -short")
+	}
+	bin := t.TempDir()
+	// -s -w: no symbol table or DWARF, which halves the link time.
+	build := exec.Command("go", "build", "-ldflags=-s -w", "-o", bin+string(filepath.Separator), "./cmd/...")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build commands: %v\n%s", err, out)
+	}
+	for _, r := range matrixRows(bin) {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			runRow(t, r)
+		})
 	}
 }
 
@@ -416,169 +583,6 @@ func matrixRows(bin string) []row {
 			},
 		},
 	}
-}
-
-// In-process rows. Each keeps the name of the test it replaced, so
-// every contract's test ID is stable, and runs through the same runRow
-// as the matrix. Top-level tests run one after another, so these may
-// set the worker environment variable and the parallel package's
-// registry.
-
-// TestFlightRecordDeterministicAcrossWorkers: the stable flight record
-// of the instrumented golden session (trainer, sparsifier, simulation,
-// worker pool) is a pure function of the workload.
-func TestFlightRecordDeterministicAcrossWorkers(t *testing.T) {
-	runRow(t, row{
-		capture: func(t *testing.T, w int) artifacts { return captureGolden(t, learn2scale.SSMask, w, false) },
-		workers: allWorkers, short: shortWorkers,
-		validate: map[string]validator{"record.json": validRecord},
-		assert:   func(t *testing.T, ref artifacts) { requireSections(t, ref["record.json"]) },
-	})
-}
-
-// TestFlightRecordRoundTrip: the record with its volatile profile
-// attached survives a read+write round trip and carries every section,
-// per-worker pool utilization included.
-func TestFlightRecordRoundTrip(t *testing.T) {
-	for _, w := range []int{1, 7} {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			runRow(t, row{
-				capture:  captureProfiled,
-				workers:  []int{w},
-				validate: map[string]validator{"record.json": validRecord},
-				assert: func(t *testing.T, ref artifacts) {
-					requireSections(t, ref["record.json"])
-					requireWorkerProfile(t, ref["record.json"])
-				},
-			})
-		})
-	}
-}
-
-// TestTimelineRecordByteIdenticalAcrossWorkers: every stamp in a
-// timeline record is a simulated cycle.
-func TestTimelineRecordByteIdenticalAcrossWorkers(t *testing.T) {
-	runRow(t, row{
-		capture:  captureTimeline,
-		workers:  allWorkers,
-		validate: map[string]validator{"timeline.tl": validTimeline},
-	})
-}
-
-// TestTimelineSinkPureObservation: attaching a timeline sink leaves
-// the simulation report unchanged.
-func TestTimelineSinkPureObservation(t *testing.T) {
-	runRow(t, row{
-		capture:  captureTimelinePurity,
-		workers:  []int{2},
-		validate: map[string]validator{"timeline.tl": validTimeline},
-		assert:   assertTimelinePurity,
-	})
-}
-
-// TestPipelineTimelinePureObservation: the same for a pipelined run.
-func TestPipelineTimelinePureObservation(t *testing.T) {
-	runRow(t, row{
-		capture:  capturePipelinePurity,
-		workers:  []int{2},
-		validate: map[string]validator{"timeline.tl": validTimeline},
-		assert:   assertPipelinePurity,
-	})
-}
-
-// TestQuantRecordsByteIdenticalAcrossWorkers: the int16 record and
-// every quantized logit, bit for bit.
-func TestQuantRecordsByteIdenticalAcrossWorkers(t *testing.T) {
-	runRow(t, row{
-		capture:  captureQuant,
-		workers:  allWorkers,
-		validate: map[string]validator{"record.json": validRecord},
-	})
-}
-
-// TestFaultRecordDeterministicAcrossWorkers: the -exp faults sweep's
-// record and rows.
-func TestFaultRecordDeterministicAcrossWorkers(t *testing.T) {
-	runRow(t, row{
-		capture:  captureFaultSweep,
-		workers:  allWorkers,
-		validate: map[string]validator{"record.json": validRecord},
-		assert: func(t *testing.T, ref artifacts) {
-			// One gauge set per (scheme, rate) cell under the grid
-			// position names the sweep promises.
-			for _, want := range []string{
-				"faults.baseline.rate00.accuracy",
-				"faults.ssmask.rate02.lost_transfers",
-				"faults.structure.rate01.retransmits",
-				"faults.ss.rate02.total_cycles",
-			} {
-				if !bytes.Contains(ref["record.json"], []byte(want)) {
-					t.Errorf("fault record missing gauge %q", want)
-				}
-			}
-		},
-	})
-}
-
-// TestLiveStreamDeterministicAcrossWorkers: the deterministic live
-// stream and the record beside it, for every scheme. Under -short only
-// SS_Mask runs.
-func TestLiveStreamDeterministicAcrossWorkers(t *testing.T) {
-	for _, s := range []struct {
-		name   string
-		scheme learn2scale.Scheme
-	}{
-		{"baseline", learn2scale.Baseline},
-		{"struct", learn2scale.StructureLevel},
-		{"ss", learn2scale.SS},
-		{"ssmask", learn2scale.SSMask},
-	} {
-		t.Run(s.name, func(t *testing.T) {
-			runRow(t, row{
-				capture: func(t *testing.T, w int) artifacts { return captureGolden(t, s.scheme, w, true) },
-				workers: allWorkers, short: shortWorkers,
-				skipShort: s.scheme != learn2scale.SSMask,
-				// Epoch windows, at least one simulation window and the
-				// final catch-all from Close.
-				validate: map[string]validator{"stream.jsonl": validStream(5), "record.json": validRecord},
-			})
-		})
-	}
-}
-
-// TestTapIsPureObserver: attaching a live plane leaves the flight
-// record byte for byte what it is without one.
-func TestTapIsPureObserver(t *testing.T) {
-	runRow(t, row{
-		capture: func(t *testing.T, w int) artifacts { return captureGolden(t, learn2scale.SSMask, w, true) },
-		assert:  assertTapPure,
-	})
-}
-
-// TestServeRecordDeterministicAcrossWorkers: training plus serving
-// gives the same stream, stable record and response logit bits, with
-// the served accounting.
-func TestServeRecordDeterministicAcrossWorkers(t *testing.T) {
-	runRow(t, row{
-		capture: func(t *testing.T, w int) artifacts { return captureServe(t, w, false) },
-		workers: allWorkers, short: shortWorkers,
-		validate: map[string]validator{"record.json": validServeRecord, "stream.jsonl": validServeStream},
-		assert:   assertServeAccounting,
-	})
-}
-
-// TestServeTraceIsPureObservation: the stable serve-trace log is
-// byte-identical at every worker count, and attaching its sink changes
-// nothing it observes.
-func TestServeTraceIsPureObservation(t *testing.T) {
-	runRow(t, row{
-		capture: func(t *testing.T, w int) artifacts { return captureServe(t, w, true) },
-		workers: allWorkers, short: shortWorkers,
-		validate: map[string]validator{"trace.jsonl": validServeTrace(false)},
-		assert: func(t *testing.T, ref artifacts) {
-			assertTracePure(t, ref, captureServe(t, 1, false))
-		},
-	})
 }
 
 // Commands.
@@ -956,11 +960,35 @@ func scriptRequests() int {
 	return n
 }
 
-// captureServe trains every scheme at both precisions and replays
-// serveScript through the full serving layer, returning the live
-// stream, the stable record, every response's logit bits and, when
-// traced, the stable serve-trace log.
-func captureServe(t *testing.T, workers int, traced bool) artifacts {
+// servePools caches servePool's pools by worker count. The tests that
+// read it run one after another, never in parallel.
+var servePools = map[int][]*learn2scale.ServeModel{}
+
+// servePool trains every scheme at both precisions at the given worker
+// count, once per test binary: the serving tests serve each pool at
+// the count it was trained at. Training reports into no registry, so
+// the in-process records hold the serving metrics only; the
+// serve-script matrix row compares records that include training.
+func servePool(t *testing.T, workers int) []*learn2scale.ServeModel {
+	if pool, ok := servePools[workers]; ok {
+		return pool
+	}
+	setWorkers(t, workers)
+	pool, err := learn2scale.NewServeModels(learn2scale.ServeConfig{}, learn2scale.Table4Nets(learn2scale.Quick)[0],
+		learn2scale.MNISTLike(80, 40, 3),
+		[]learn2scale.Scheme{learn2scale.Baseline, learn2scale.StructureLevel, learn2scale.SS, learn2scale.SSMask},
+		[]learn2scale.Precision{learn2scale.Float32, learn2scale.Int16}, 4, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servePools[workers] = pool
+	return pool
+}
+
+// captureServe replays serveScript through the full serving layer over
+// pool, returning the live stream, the stable record, every response's
+// logit bits and, when traced, the stable serve-trace log.
+func captureServe(t *testing.T, pool []*learn2scale.ServeModel, workers int, traced bool) artifacts {
 	reg := observed(t, workers)
 	var stream, trace bytes.Buffer
 	plane := live.New(live.Config{Out: &stream})
@@ -971,12 +999,12 @@ func captureServe(t *testing.T, workers int, traced bool) artifacts {
 		sink = learn2scale.NewServeTraceSink(&trace, learn2scale.ServeTraceOptions{Stable: true, Tool: "test"})
 		cfg.Trace = sink
 	}
-	models, err := learn2scale.NewServeModels(cfg, learn2scale.Table4Nets(learn2scale.Quick)[0],
-		learn2scale.MNISTLike(80, 40, 3),
-		[]learn2scale.Scheme{learn2scale.Baseline, learn2scale.StructureLevel, learn2scale.SS, learn2scale.SSMask},
-		[]learn2scale.Precision{learn2scale.Float32, learn2scale.Int16}, 4, 3, 3)
-	if err != nil {
-		t.Fatal(err)
+	models := make([]*learn2scale.ServeModel, len(pool))
+	for i, m := range pool {
+		var err error
+		if models[i], err = learn2scale.NewServeModel(cfg, m.TM, m.Key.Precision, m.Samples); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv, err := learn2scale.NewServer(cfg, models)
 	if err != nil {

@@ -20,8 +20,9 @@
 // {"model","precision","samples":[...]} step per line, each step one
 // dynamic batch) instead of listening, writes the -obs flight record,
 // and exits; a fixed script yields byte-identical records and -live
-// streams at any -workers count, which is how CI holds the serving
-// path to the repo's determinism standard.
+// streams at any -workers count, which is how the determinism matrix
+// (its serve-script row) holds the serving path to the repo's
+// determinism standard.
 //
 // Request tracing: -serve-trace streams one validated JSONL record per
 // executed batch and (sampled, see -trace-sample) answered request,

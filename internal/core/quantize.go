@@ -23,9 +23,10 @@ const QuantCalibSamples = 32
 //
 // The delta is surfaced as the stable gauge quant.accuracy_delta at a
 // "quantize" telemetry boundary, so the health-gate rule engine can
-// enforce quant.accuracy_delta.last <= eps in CI. The model's Precision
-// flips to Int16 so downstream simulation (nna compute-cycle model,
-// pipeline scheduler) picks up the denser MAC arrays.
+// enforce quant.accuracy_delta.last <= eps (the determinism matrix's
+// sim-int16 row does). The model's Precision flips to Int16 so
+// downstream simulation (nna compute-cycle model, pipeline scheduler)
+// picks up the denser MAC arrays.
 func (m *TrainedModel) Quantize(ds *data.Dataset, cfg nn.CalibConfig) float64 {
 	n := QuantCalibSamples
 	if n > len(ds.TrainX) {

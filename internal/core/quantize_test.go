@@ -10,8 +10,8 @@ import (
 
 // TestQuantizeAccuracyDeltaAllSchemes pins the PR's acceptance gate:
 // quantized top-1 stays within 0.02 of the float top-1 for every
-// parallelization scheme. This is the same epsilon the CI health rule
-// quant.accuracy_delta.last <= 0.02 enforces.
+// parallelization scheme. This is the same epsilon the health rule of
+// the determinism matrix's sim-int16 row enforces.
 func TestQuantizeAccuracyDeltaAllSchemes(t *testing.T) {
 	const eps = 0.02
 	ds := tinyData()

@@ -180,8 +180,8 @@ func runTraceScript(t *testing.T, opt TraceOptions, tl *timeline.Sink) ([]byte, 
 
 // TestServeTraceScriptStable asserts the determinism contract: in
 // script mode a Stable sink's serve-trace records are byte-identical
-// across independent runs (the CI job extends this across -workers
-// values), volatile wall-clock fields never leak, and the stable
+// across independent runs (the determinism matrix's serve-script row
+// extends this across -workers values), volatile wall-clock fields never leak, and the stable
 // correlation skeleton (IDs, batches, sim cycles) is complete.
 func TestServeTraceScriptStable(t *testing.T) {
 	a, _ := runTraceScript(t, TraceOptions{Stable: true, Tool: "test"}, nil)

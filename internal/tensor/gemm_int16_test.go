@@ -292,8 +292,8 @@ func BenchmarkGEMMInt16Blocked(b *testing.B) {
 }
 
 // BenchmarkGEMMFloat32Blocked is the float32 packed-path twin of the
-// AlexNet-shaped int16 benchmarks above: CI divides the two ns/op
-// figures to assert the ≥2x quantized speedup.
+// AlexNet-shaped int16 benchmarks above: dividing the two ns/op
+// figures gives the quantized speedup.
 func BenchmarkGEMMFloat32Blocked(b *testing.B) {
 	for _, s := range alexShapes {
 		b.Run(s.name, func(b *testing.B) {

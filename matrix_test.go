@@ -380,10 +380,10 @@ func TestServeTraceIsPureObservation(t *testing.T) {
 }
 
 // TestDeterminismMatrix runs the command rows, in parallel. They need
-// the built binaries and several CPU-minutes, so they run in the full
+// the built binaries and about a CPU-minute, so they run in the full
 // `go test ./...` only; -short (the race run, whose race detector
 // cannot see into the binaries) skips them. The in-process rows are
-// the named tests further down.
+// the named tests above.
 func TestDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("command rows run without -short")

@@ -23,7 +23,7 @@ test-short:
 test-race:
 	go test -race -short ./...
 
-# Short exploratory fuzz of the routing and partitioning invariants;
+# Short exploratory fuzz of the routing, partitioning and NoC invariants;
 # the committed seed corpora replay in every normal `go test` run.
 fuzz:
 	go test -fuzz FuzzMeshRoute -fuzztime 30s ./internal/topology
@@ -32,6 +32,7 @@ fuzz:
 	go test -fuzz FuzzPipelineSchedule -fuzztime 30s ./internal/cmp
 	go test -fuzz FuzzInt16GEMM -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
+	go test -fuzz FuzzNoCBurst -fuzztime 30s ./internal/noc
 
 # Quick fuzz pass for CI: a few seconds per target on top of the seed
 # corpora, enough to catch shallow regressions without slowing the loop.
@@ -42,6 +43,7 @@ fuzz-smoke:
 	go test -fuzz FuzzPipelineSchedule -fuzztime 5s ./internal/cmp
 	go test -fuzz FuzzInt16GEMM -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
+	go test -fuzz FuzzNoCBurst -fuzztime 5s ./internal/noc
 
 # One benchmark per paper table/figure plus the per-package benches.
 bench:

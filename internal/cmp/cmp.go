@@ -105,11 +105,12 @@ type System struct {
 	// cfg.Fault.DeadCores); nil when no cores are dead.
 	deadNode []bool
 
-	// simPool recycles per-layer burst simulators across RunPlan calls:
-	// RunBurst fully resets simulator state, so a pooled simulator is
-	// indistinguishable from a fresh one, and reuse keeps the mesh's
-	// router/buffer arrays off the allocator on every layer. MapReduce's
-	// bounded run-ahead caps how many live at once.
+	// simPool recycles simulators across RunPlan layers and RunPipeline
+	// sessions: RunBurst and Begin fully reset simulator state, so a
+	// pooled simulator is indistinguishable from a fresh one, and reuse
+	// keeps the mesh's router/buffer arrays off the allocator on every
+	// layer and every pipeline run. MapReduce's bounded run-ahead caps
+	// how many live at once.
 	simPool sync.Pool // holds *noc.Simulator
 }
 

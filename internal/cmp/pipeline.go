@@ -189,10 +189,11 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 	B, L, depth := opt.Batches, len(p.Layers), len(pp.Stages)
 
 	// One session simulator owns the whole run; its horizon scales with
-	// the number of inferences in flight.
-	scfg := s.cfg.NoC
-	scfg.MaxCycles *= int64(B + depth)
-	r.ses = noc.MustNew(scfg).Begin()
+	// the number of inferences in flight. Begin fully resets a pooled
+	// simulator, so reuse is indistinguishable from a fresh one.
+	sim := s.simPool.Get().(*noc.Simulator)
+	defer s.simPool.Put(sim)
+	r.ses = sim.Begin(s.cfg.NoC.MaxCycles * int64(B+depth))
 
 	// Sections register serially up front, batch-major in layer order.
 	// With one batch the labels match RunPlanPlaced's, so a depth-1

@@ -306,6 +306,42 @@ func TestRunPipelineFaulty(t *testing.T) {
 	}
 }
 
+// RunPipeline draws its session simulator from the System's pool, which
+// RunPlan's per-layer bursts share. A run on a System whose pool holds
+// simulators left over from earlier pipelines and barrier runs must
+// report exactly what the same run on a fresh System reports.
+func TestRunPipelineReuseMatchesFresh(t *testing.T) {
+	cfg := DefaultConfig(16)
+	cfg.Fault = &fault.Config{Seed: 3, DropProb: 0.05, RetryBudget: 1, DeadCores: []int{5}}
+	caffe := partition.NewPlan(netzoo.CaffeNet(), 16)
+	alex := partition.NewPlan(netzoo.AlexNet(), 16)
+	runs := []struct {
+		plan *partition.Plan
+		opt  PipelineOptions
+	}{
+		{caffe, PipelineOptions{Depth: 3, Batches: 4}},
+		{alex, PipelineOptions{Depth: 2, Batches: 2}},
+		{caffe, PipelineOptions{Depth: 3, Batches: 4}},
+	}
+	sys := MustNew(cfg)
+	for i, run := range runs {
+		if _, err := sys.RunPlan(alex); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.RunPipeline(run.plan, run.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MustNew(cfg).RunPipeline(run.plan, run.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d on a reused System differs from a fresh System's:\nreused %+v\nfresh  %+v", i, got, want)
+		}
+	}
+}
+
 func TestRunPipelineRejects(t *testing.T) {
 	sys := MustNew(DefaultConfig(16))
 	if _, err := sys.RunPipeline(partition.NewPlan(netzoo.MLP(), 8), PipelineOptions{Depth: 1}); err == nil {

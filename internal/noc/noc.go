@@ -32,6 +32,11 @@ const (
 	numPorts
 )
 
+// maxSlots is the width of the switch allocator's candidate mask: one
+// bit per (input port, VC) slot of a router, which bounds VCs at
+// maxSlots/numPorts.
+const maxSlots = 64
+
 // Config describes the simulated network. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
@@ -93,6 +98,9 @@ func (c Config) validate() error {
 	case c.FlitBytes <= 0, c.PacketFlits < 2, c.VCs <= 0, c.BufDepth <= 0,
 		c.Stages <= 0, c.Planes <= 0:
 		return fmt.Errorf("noc: non-positive parameter in config %+v", c)
+	case numPorts*c.VCs > maxSlots:
+		return fmt.Errorf("noc: %d VCs per port exceed the switch allocator's %d slots (at most %d VCs)",
+			c.VCs, maxSlots, maxSlots/numPorts)
 	}
 	return c.Fault.Validate(c.Mesh)
 }

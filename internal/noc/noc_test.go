@@ -111,6 +111,16 @@ func TestBadConfigErrors(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("expected error for zero config")
 	}
+	// The switch allocator's candidate mask has one bit per (input port,
+	// VC) slot: 12 VCs fill its 64 bits, 13 would overflow them.
+	cfg.VCs = 12
+	if _, err := New(cfg); err != nil {
+		t.Errorf("12 VCs rejected: %v", err)
+	}
+	cfg.VCs = 13
+	if _, err := New(cfg); err == nil {
+		t.Error("expected error for 13 VCs (65 allocator slots)")
+	}
 }
 
 func TestDeterminism(t *testing.T) {

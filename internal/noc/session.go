@@ -32,17 +32,20 @@ import (
 // A Session is single-threaded and is invalidated by the next
 // Begin/RunBurst call on the simulator.
 type Session struct {
-	sim *Simulator
-	now int64
+	sim     *Simulator
+	now     int64
+	horizon int64
 }
 
-// Begin resets the simulator and starts a session. Any previous
-// session or RunBurst state is discarded.
-func (s *Simulator) Begin() *Session {
+// Begin resets the simulator and starts a session whose clock may run
+// to horizon cycles (the config's MaxCycles plays this role for
+// RunBurst; a session carrying many bursts needs a longer one). Any
+// previous session or RunBurst state is discarded.
+func (s *Simulator) Begin(horizon int64) *Session {
 	s.reset()
 	s.sess = true
 	s.groups = s.groups[:0]
-	return &Session{sim: s}
+	return &Session{sim: s, horizon: horizon}
 }
 
 // Now returns the session clock: every cycle before it has been fully
@@ -107,34 +110,21 @@ func (ss *Session) Inject(msgs []Message, at, salt int64, sec *timeline.Section)
 // absolute cycle it resolved at. Groups that resolved while an earlier
 // Next was stepping are reported first, in resolution order. It is an
 // error to call Next with no unresolved groups outstanding, or for the
-// session clock to exceed the config's MaxCycles.
+// session clock to exceed the session's horizon.
 func (ss *Session) Next() (group int, end int64, err error) {
 	s := ss.sim
 	if !s.sess {
 		return 0, 0, fmt.Errorf("noc: Next outside a session (call Begin first)")
 	}
-	for len(s.resolved) == 0 {
-		if s.live == 0 {
-			return 0, 0, fmt.Errorf("noc: session has no unresolved groups")
-		}
-		if ss.now > s.cfg.MaxCycles {
-			return 0, 0, fmt.Errorf("noc: session did not resolve a group within %d cycles", s.cfg.MaxCycles)
-		}
-		s.loopIters++
-		for p := range s.planes {
-			s.stepPlane(&s.planes[p], p, ss.now)
-		}
-		ss.now++
-		// Idle-cycle fast-forward, exactly as in RunBurst: skipped
-		// cycles are provable no-ops.
-		if !s.noFastForward && len(s.resolved) == 0 {
-			if next, ok := s.fastForwardTarget(ss.now); ok {
-				if next > s.cfg.MaxCycles+1 {
-					next = s.cfg.MaxCycles + 1
-				}
-				ss.now = next
-			}
-		}
+	// Only a resolution adds to resolved or lowers live, so with nothing
+	// resolved and nothing live no amount of stepping can report a group.
+	if len(s.resolved) == 0 && s.live == 0 {
+		return 0, 0, fmt.Errorf("noc: session has no unresolved groups")
+	}
+	now, ok := s.advance(ss.now, ss.horizon, func() bool { return len(s.resolved) > 0 })
+	ss.now = now
+	if !ok {
+		return 0, 0, fmt.Errorf("noc: session did not resolve a group within %d cycles", ss.horizon)
 	}
 	gi := s.resolved[0]
 	s.resolved = s.resolved[1:]
@@ -159,34 +149,29 @@ func (ss *Session) Lost(group int) []LostTransfer {
 
 // maybeRenormalize resets arbitration state when the network is
 // completely quiescent: no flit buffered on any plane and every NI
-// queue fully consumed. Credits, VC ownership and injection state are
-// already back at their initial values by the flow-control invariants
-// (every buffered flit was popped, returning its credit; tails release
-// VC ownership), so after the reset the simulator is indistinguishable
-// from a freshly constructed one — the property that makes strictly
-// sequential session groups bit-identical to independent RunBursts.
-// It never fires mid-flight, so overlapping groups are untouched.
+// queue empty. Credits, VC ownership and injection state are already
+// back at their initial values by the flow-control invariants (every
+// buffered flit was popped, returning its credit; tails release VC
+// ownership; a consumed queue is dropped the cycle its last flit
+// injects), so after the reset the simulator is indistinguishable from
+// a freshly constructed one — the property that makes strictly
+// sequential session groups bit-identical to independent RunBursts. It
+// never fires mid-flight, so overlapping groups are untouched.
 func (s *Simulator) maybeRenormalize() {
 	for p := range s.planes {
 		pl := &s.planes[p]
 		if pl.buffered != 0 {
 			return
 		}
-		for n, q := range pl.nodeQueue {
-			if pl.nodeHead[n] < len(q) {
+		for _, q := range pl.nodeQueue {
+			if len(q) > 0 {
 				return
 			}
 		}
 	}
 	for p := range s.planes {
-		pl := &s.planes[p]
-		for i := range pl.routers {
-			r := &pl.routers[i]
-			for prt := 0; prt < numPorts; prt++ {
-				r.rrPtr[prt] = 0
-			}
-			pl.nodeQueue[i] = pl.nodeQueue[i][:0]
-			pl.nodeHead[i] = 0
+		for i := range s.planes[p].routers {
+			s.planes[p].routers[i].rrPtr = [numPorts]int{}
 		}
 	}
 }

@@ -60,7 +60,7 @@ func TestSessionSequentialMatchesRunBurst(t *testing.T) {
 
 		// Session: same bursts, same salts, strictly sequential.
 		sesSink := timeline.NewSink()
-		ses := MustNew(cfg).Begin()
+		ses := MustNew(cfg).Begin(cfg.MaxCycles)
 		var at int64
 		var got []Result
 		for k, msgs := range bursts {
@@ -118,7 +118,7 @@ func TestSessionOverlapConservation(t *testing.T) {
 		iso[k] = r
 	}
 
-	ses := MustNew(cfg).Begin()
+	ses := MustNew(cfg).Begin(cfg.MaxCycles)
 	for k, msgs := range bursts {
 		if _, err := ses.Inject(msgs, 0, int64(k), nil); err != nil {
 			t.Fatal(err)
@@ -153,7 +153,7 @@ func TestSessionOverlapConservation(t *testing.T) {
 
 func TestSessionEdgeCases(t *testing.T) {
 	cfg := DefaultConfig(topology.Mesh{W: 2, H: 2})
-	ses := MustNew(cfg).Begin()
+	ses := MustNew(cfg).Begin(cfg.MaxCycles)
 
 	// Zero-traffic group resolves immediately at its inject cycle.
 	gi, err := ses.Inject([]Message{{Src: 1, Dst: 1, Bytes: 64}}, 42, 0, nil)
@@ -186,7 +186,7 @@ func TestSessionEdgeCases(t *testing.T) {
 
 	// Sessions are invalidated by RunBurst.
 	sim := MustNew(cfg)
-	s2 := sim.Begin()
+	s2 := sim.Begin(cfg.MaxCycles)
 	if _, err := sim.RunBurst([]Message{{Src: 0, Dst: 1, Bytes: 64}}); err != nil {
 		t.Fatal(err)
 	}

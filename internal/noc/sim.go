@@ -2,11 +2,13 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"learn2scale/internal/fault"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/timeline"
+	"learn2scale/internal/topology"
 )
 
 // sortInjQueue orders one node's injection FIFO by (time, packet id)
@@ -34,15 +36,15 @@ func sortInjQueue(q []injEntry) {
 // deterministic for a given message burst.
 var LatencyBuckets = []int64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
-// packet is one wormhole packet in flight.
+// packet is one wormhole packet in flight. group sits after the bools
+// so the three pack into one word: session packets are allocated per
+// burst group, and their size sets a run's in-flight memory.
 type packet struct {
-	id         int   // id within its burst group (timeline / arbitration tiebreak)
-	uid        int   // simulator-unique id (VC ownership; groups reuse local ids)
-	group      int32 // burst group the packet belongs to (0 for RunBurst)
+	id         int // id within its burst group (timeline / arbitration tiebreak)
+	uid        int // simulator-unique id (VC ownership; groups reuse local ids)
 	src, dst   int
 	nflits     int
 	injectTime int64
-	ejected    int
 
 	// Fault state: which retransmission attempt this traversal is
 	// (0 = first try), whether any flit was corrupted in flight, and
@@ -52,6 +54,8 @@ type packet struct {
 	attempt int
 	corrupt bool
 	down    bool
+
+	group int32 // burst group the packet belongs to (0 for RunBurst)
 }
 
 // flit is one flow-control unit. seq 0 is the head; seq nflits-1 the tail.
@@ -95,7 +99,10 @@ func (v *vcState) pop() flit {
 
 // router is one mesh router of a single physical-channel plane.
 type router struct {
-	in [numPorts][]vcState
+	// vcs holds the input virtual channels slot-major: slot ip*VCs+v is
+	// VC v of input port ip. The slot index is the switch allocator's
+	// round-robin position and its candidate-mask bit.
+	vcs []vcState
 	// credits[op][vc]: free buffer slots at the downstream input VC
 	// reached through output port op. The local output has no credits;
 	// ejection is limited to one flit per cycle by arbitration itself.
@@ -159,6 +166,17 @@ type groupState struct {
 type Simulator struct {
 	cfg    Config
 	planes []plane
+
+	// Per-simulator lookup tables built once by New: the mesh coordinate
+	// and the neighbor through each port of every node (-1 for Local and
+	// off-mesh), the (input port, VC) of every allocator slot, and the
+	// slot bits of every input port.
+	xy        []topology.Coord
+	nbr       [][numPorts]int
+	slotPort  [maxSlots]uint8
+	slotVC    [maxSlots]uint8
+	portSlots [numPorts]uint64
+
 	// linkLoad[node][op-1] counts flit traversals of the link leaving
 	// node through output port op (E/W/N/S), summed over planes, for
 	// the most recent run (RunBurst) or session (Begin).
@@ -227,6 +245,7 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	s := &Simulator{cfg: cfg}
+	s.buildTables()
 	cfg.Timeline.SetPlatform(cfg.TimelinePlatform())
 	if r := cfg.Obs; r != nil {
 		s.latHist = r.Histogram("noc.packet_latency_cycles", obs.Stable, LatencyBuckets)
@@ -246,10 +265,10 @@ func New(cfg Config) (*Simulator, error) {
 			s.routes = rt
 		}
 		if len(f.FlakyLinks) > 0 {
-			s.flaky = dirLinkSet(cfg, f.FlakyLinks)
+			s.flaky = s.dirLinkSet(f.FlakyLinks)
 		}
 		if len(f.SlowLinks) > 0 && f.SlowExtraCycles > 0 {
-			s.slow = dirLinkSet(cfg, f.SlowLinks)
+			s.slow = s.dirLinkSet(f.SlowLinks)
 		}
 		if r := cfg.Obs; r != nil {
 			s.retransC = r.Counter("noc.retransmits", obs.Stable)
@@ -261,18 +280,38 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
+// buildTables fills the coordinate, neighbor and slot tables the switch
+// allocator reads instead of dividing node and slot indices each cycle.
+func (s *Simulator) buildTables() {
+	m, pf := s.cfg.Mesh, s.cfg.TimelinePlatform()
+	s.xy = make([]topology.Coord, m.Nodes())
+	s.nbr = make([][numPorts]int, m.Nodes())
+	for id := range s.xy {
+		s.xy[id] = m.Coord(id)
+		s.nbr[id][PortLocal] = -1
+		for op := PortEast; op <= PortSouth; op++ {
+			s.nbr[id][op] = pf.Neighbor(id, op) // timeline directions are the output ports
+		}
+	}
+	for slot := 0; slot < numPorts*s.cfg.VCs; slot++ {
+		ip := slot / s.cfg.VCs
+		s.slotPort[slot] = uint8(ip)
+		s.slotVC[slot] = uint8(slot % s.cfg.VCs)
+		s.portSlots[ip] |= 1 << slot
+	}
+}
+
 // dirLinkSet expands an undirected link list into a per-(node, output
 // direction) lookup table covering both directions of each link.
-func dirLinkSet(cfg Config, links []fault.Link) [][4]bool {
+func (s *Simulator) dirLinkSet(links []fault.Link) [][4]bool {
 	in := make(map[fault.Link]bool, len(links))
 	for _, l := range links {
 		in[l] = true
 	}
-	set := make([][4]bool, cfg.Mesh.Nodes())
-	s := Simulator{cfg: cfg}
+	set := make([][4]bool, len(s.nbr))
 	for id := range set {
 		for op := PortEast; op <= PortSouth; op++ {
-			if nb := s.neighbor(id, op); nb >= 0 && in[fault.LinkBetween(id, nb)] {
+			if nb := s.nbr[id][op]; nb >= 0 && in[fault.LinkBetween(id, nb)] {
 				set[id][op-1] = true
 			}
 		}
@@ -301,11 +340,11 @@ func (s *Simulator) newPlane() plane {
 	}
 	for i := range pl.routers {
 		r := &pl.routers[i]
+		r.vcs = make([]vcState, numPorts*s.cfg.VCs)
+		for v := range r.vcs {
+			r.vcs[v] = vcState{buf: make([]flit, s.cfg.BufDepth), owner: -1, outPort: -1}
+		}
 		for p := 0; p < numPorts; p++ {
-			r.in[p] = make([]vcState, s.cfg.VCs)
-			for v := range r.in[p] {
-				r.in[p][v] = vcState{buf: make([]flit, s.cfg.BufDepth), owner: -1, outPort: -1}
-			}
 			r.credits[p] = make([]int, s.cfg.VCs)
 			for v := range r.credits[p] {
 				r.credits[p][v] = s.cfg.BufDepth
@@ -318,7 +357,9 @@ func (s *Simulator) newPlane() plane {
 
 // reset restores the simulator's network state for a fresh run,
 // reusing the plane, router, and link-load storage of earlier runs so
-// repeated RunBurst calls stay off the heap.
+// repeated RunBurst calls stay off the heap. It also zeroes the stale
+// flits and queue entries that storage holds, so a pooled simulator
+// does not keep an earlier run's packets reachable.
 func (s *Simulator) reset() {
 	s.loopIters = 0
 	s.uidNext = 0
@@ -336,17 +377,19 @@ func (s *Simulator) reset() {
 		pl := &s.planes[p]
 		for i := range pl.routers {
 			r := &pl.routers[i]
+			for v := range r.vcs {
+				vc := &r.vcs[v]
+				vc.head, vc.n = 0, 0
+				vc.owner, vc.outPort, vc.outVC = -1, -1, 0
+				clear(vc.buf)
+			}
 			for prt := 0; prt < numPorts; prt++ {
-				for v := range r.in[prt] {
-					vc := &r.in[prt][v]
-					vc.head, vc.n = 0, 0
-					vc.owner, vc.outPort, vc.outVC = -1, -1, 0
-				}
 				for v := range r.credits[prt] {
 					r.credits[prt][v] = s.cfg.BufDepth
 				}
 				r.rrPtr[prt] = 0
 			}
+			clear(pl.nodeQueue[i])
 			pl.nodeQueue[i] = pl.nodeQueue[i][:0]
 			pl.nodeHead[i] = 0
 			pl.injSeq[i] = 0
@@ -354,6 +397,7 @@ func (s *Simulator) reset() {
 			pl.occ[i] = 0
 		}
 		pl.buffered = 0
+		clear(pl.pending[:cap(pl.pending)])
 		pl.pending = pl.pending[:0]
 	}
 	clear(s.linkLoad)
@@ -399,51 +443,14 @@ func (s *Simulator) fastForwardTarget(now int64) (int64, bool) {
 // Result.
 func (s *Simulator) LoopIters() int64 { return s.loopIters }
 
-// neighbor returns the node reached through output port op of node id,
-// or -1 if op is Local or leads off-mesh.
-func (s *Simulator) neighbor(id, op int) int {
-	c := s.cfg.Mesh.Coord(id)
-	switch op {
-	case PortEast:
-		if c.X+1 < s.cfg.Mesh.W {
-			return id + 1
-		}
-	case PortWest:
-		if c.X > 0 {
-			return id - 1
-		}
-	case PortNorth:
-		if c.Y > 0 {
-			return id - s.cfg.Mesh.W
-		}
-	case PortSouth:
-		if c.Y+1 < s.cfg.Mesh.H {
-			return id + s.cfg.Mesh.W
-		}
-	}
-	return -1
-}
-
-// opposite maps an output port to the input port it feeds downstream.
-func opposite(op int) int {
-	switch op {
-	case PortEast:
-		return PortWest
-	case PortWest:
-		return PortEast
-	case PortNorth:
-		return PortSouth
-	case PortSouth:
-		return PortNorth
-	}
-	panic("noc: opposite of local port")
-}
+// opposite maps an output port to the input port it feeds downstream
+// (Local maps to an out-of-range port).
+var opposite = [numPorts]int{-1, PortWest, PortEast, PortSouth, PortNorth}
 
 // routeXY returns the output port a packet at node cur takes toward dst
 // under dimension-ordered routing (X first).
 func (s *Simulator) routeXY(cur, dst int) int {
-	cc := s.cfg.Mesh.Coord(cur)
-	cd := s.cfg.Mesh.Coord(dst)
+	cc, cd := s.xy[cur], s.xy[dst]
 	switch {
 	case cc.X < cd.X:
 		return PortEast
@@ -614,7 +621,6 @@ func (s *Simulator) loseMessage(g *groupState, m Message) {
 func (s *Simulator) resolveCorrupt(pl *plane, p *packet, now int64, g *groupState) bool {
 	if p.attempt < s.budget {
 		p.attempt++
-		p.ejected = 0
 		p.corrupt = false
 		p.down = false
 		p.injectTime = now + 1 + s.cfg.Fault.Backoff(p.attempt)
@@ -743,29 +749,9 @@ func (s *Simulator) RunBurst(msgs []Message) (Result, error) {
 		}
 	}
 
-	var now int64
-	for g.remaining > 0 {
-		if now > s.cfg.MaxCycles {
-			return Result{}, fmt.Errorf("noc: burst did not drain within %d cycles", s.cfg.MaxCycles)
-		}
-		s.loopIters++
-		for p := range s.planes {
-			s.stepPlane(&s.planes[p], p, now)
-		}
-		now++
-		// Idle-cycle fast-forward: when no flit is buffered anywhere and
-		// no node may inject yet, every skipped cycle is a no-op (stepPlane
-		// touches nothing), so jump straight to the next injection time.
-		// The cap keeps the MaxCycles overrun check firing exactly as the
-		// dense loop would.
-		if !s.noFastForward && g.remaining > 0 {
-			if next, ok := s.fastForwardTarget(now); ok {
-				if next > s.cfg.MaxCycles+1 {
-					next = s.cfg.MaxCycles + 1
-				}
-				now = next
-			}
-		}
+	now, ok := s.advance(0, s.cfg.MaxCycles, func() bool { return g.remaining == 0 })
+	if !ok {
+		return Result{}, fmt.Errorf("noc: burst did not drain within %d cycles", s.cfg.MaxCycles)
 	}
 	g.res.Cycles = now
 	s.flushGroupTimeline(g)
@@ -773,136 +759,92 @@ func (s *Simulator) RunBurst(msgs []Message) (Result, error) {
 	return g.res, nil
 }
 
+// advance is the drain loop RunBurst and Session.Next share: it steps
+// every plane one cycle at a time from cycle now until done reports
+// true, and returns the cycle after the last step. ok is false when the
+// clock passes horizon first.
+//
+// Idle-cycle fast-forward: when no flit is buffered anywhere and no
+// node may inject yet, every skipped cycle is a no-op (stepPlane
+// touches nothing), so the clock jumps straight to the next injection
+// time. The cap at horizon+1 keeps the overrun check firing exactly as
+// the dense loop would.
+func (s *Simulator) advance(now, horizon int64, done func() bool) (int64, bool) {
+	for !done() {
+		if now > horizon {
+			return now, false
+		}
+		s.loopIters++
+		for p := range s.planes {
+			s.stepPlane(&s.planes[p], p, now)
+		}
+		now++
+		if !s.noFastForward && !done() {
+			if next, ok := s.fastForwardTarget(now); ok {
+				now = min(next, horizon+1)
+			}
+		}
+	}
+	return now, true
+}
+
 // stepPlane advances one plane (index pi) by one cycle. Terminal packet
 // events (intact ejection, loss) retire packets from their group via
 // packetResolved.
+//
+// Switch allocation grants at most one flit per output port and per
+// input port. Each output port serves its candidates round-robin over
+// the router's (input port, VC) slots, starting at the slot after its
+// last grant. An idle router is skipped: it can grant nothing, and its
+// pointers move only on a grant.
 func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
-	pending := pl.pending[:0]
-
-	// Switch allocation and traversal: one grant per output port, at
-	// most one flit per input port.
+	pl.pending = pl.pending[:0]
 	for rid := range pl.routers {
+		if pl.occ[rid] == 0 {
+			continue
+		}
 		r := &pl.routers[rid]
-		var usedIn [numPorts]bool
-		for op := 0; op < numPorts; op++ {
-			granted := false
-			nCand := numPorts * s.cfg.VCs
-			for k := 0; k < nCand && !granted; k++ {
-				slot := (r.rrPtr[op] + k) % nCand
-				ip := slot / s.cfg.VCs
-				v := slot % s.cfg.VCs
-				if usedIn[ip] {
-					continue
+		// cand[op] has a bit per slot whose front flit is ready and
+		// routed (or, for an unrouted head, would route) to output op.
+		// Grants at this router change no other slot's front flit or
+		// route, so the masks hold for the whole allocation.
+		var cand [numPorts]uint64
+		var down uint64 // unrouted heads whose next hop is an up*/down* "down" move
+		for slot := range r.vcs {
+			vc := &r.vcs[slot]
+			if vc.n == 0 || vc.front().readyAt > now {
+				continue
+			}
+			op := vc.outPort
+			if op == -1 {
+				f := vc.front()
+				if f.seq != 0 {
+					panic("noc: body flit in unrouted VC")
 				}
-				vc := &r.in[ip][v]
-				if vc.n == 0 {
-					continue
+				var isDown bool
+				op, isDown = s.routePort(rid, f.pkt)
+				if isDown {
+					down |= 1 << slot
 				}
-				f := *vc.front()
-				if f.readyAt > now {
-					continue
-				}
-				// Route computation + VC allocation for head flits.
-				if vc.outPort == -1 {
-					if f.seq != 0 {
-						panic("noc: body flit in unrouted VC")
+			}
+			cand[op] |= 1 << slot
+		}
+		var used uint64 // slots of input ports that already won a grant
+		for op := range cand {
+			avail := cand[op] &^ used
+			if avail == 0 {
+				continue
+			}
+			// Round-robin: slots at or after the pointer, then the wrap.
+			below := uint64(1)<<r.rrPtr[op] - 1
+		walk:
+			for _, m := range [2]uint64{avail &^ below, avail & below} {
+				for ; m != 0; m &= m - 1 {
+					slot := bits.TrailingZeros64(m)
+					if s.grant(pl, pi, rid, op, slot, down&(1<<slot) != 0, now) {
+						used |= s.portSlots[s.slotPort[slot]]
+						break walk
 					}
-					want, wantDown := s.routePort(rid, f.pkt)
-					if want != op {
-						continue
-					}
-					if op == PortLocal {
-						vc.outPort = op
-						vc.outVC = 0
-					} else {
-						dn := s.neighbor(rid, op)
-						dvc := s.allocVC(pl, dn, opposite(op), f.pkt.uid)
-						if dvc == -1 {
-							continue // no free downstream VC yet
-						}
-						vc.outPort = op
-						vc.outVC = dvc
-					}
-					// The hop is committed; latch the phase change so the
-					// downstream route computation sees it.
-					if wantDown {
-						f.pkt.down = true
-					}
-					vc.vcAllocAt = now
-				}
-				if vc.outPort != op {
-					continue
-				}
-				if op != PortLocal && r.credits[op][vc.outVC] == 0 {
-					continue
-				}
-
-				// Grant: pop and traverse.
-				g := &s.groups[f.pkt.group]
-				if g.sec != nil && f.seq == 0 {
-					g.sec.Depart(now-g.base, vc.vcAllocAt-g.base, f.pkt.id, f.pkt.attempt, rid, op, pi)
-				}
-				vc.pop()
-				pl.occ[rid]--
-				pl.buffered--
-				g.res.BufferReads++
-				g.res.SwitchTraversals++
-				usedIn[ip] = true
-				granted = true
-				r.rrPtr[op] = (slot + 1) % nCand
-
-				// Credit return to the upstream hop (local injection
-				// reads buffer occupancy directly instead).
-				if ip != PortLocal {
-					up := s.neighbor(rid, ip)
-					pl.routers[up].credits[opposite(ip)][v]++
-				}
-				isTail := f.seq == f.pkt.nflits-1
-				outVC := vc.outVC
-				if isTail {
-					vc.outPort = -1
-					vc.owner = -1
-				}
-				if op == PortLocal {
-					f.pkt.ejected++
-					if isTail {
-						if f.pkt.corrupt {
-							if s.resolveCorrupt(pl, f.pkt, now, g) {
-								s.packetResolved(f.pkt.group, now)
-							}
-						} else {
-							g.sec.Eject(now+1-g.base, f.pkt.id, f.pkt.attempt, rid)
-							lat := now + 1 - f.pkt.injectTime
-							g.res.TotalPacketLatency += lat
-							if lat > g.res.MaxPacketLatency {
-								g.res.MaxPacketLatency = lat
-							}
-							g.res.EjectedPackets++
-							s.latHist.Observe(lat)
-							s.packetResolved(f.pkt.group, now)
-						}
-					}
-				} else {
-					dn := s.neighbor(rid, op)
-					r.credits[op][outVC]--
-					g.res.LinkTraversals++
-					s.linkLoad[rid][op-1]++
-					if g.sec != nil {
-						s.linkBusy(g, pi, rid, op, now)
-					}
-					f.readyAt = now + 1 + int64(s.cfg.Stages-1)
-					if s.faultOn {
-						if s.slow != nil && s.slow[rid][op-1] {
-							f.readyAt += int64(s.cfg.Fault.SlowExtraCycles)
-						}
-						fc := s.cfg.Fault
-						if fc.DropProb > 0 && (s.flaky == nil || s.flaky[rid][op-1]) &&
-							fc.DropFlit(g.salt, int64(f.pkt.id), f.pkt.attempt, rid*4+(op-1), f.seq) {
-							f.pkt.corrupt = true
-							g.res.DroppedFlits++
-						}
-					}
-					pending = append(pending, arrival{dn, opposite(op), outVC, f})
 				}
 			}
 		}
@@ -928,7 +870,7 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 			pl.injSeq[node] = 0
 		}
 		v := pl.injVC[node]
-		vc := &pl.routers[node].in[PortLocal][v]
+		vc := &pl.routers[node].vcs[PortLocal*s.cfg.VCs+v]
 		if vc.n >= s.cfg.BufDepth {
 			continue
 		}
@@ -948,12 +890,18 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 			pl.nodeHead[node]++
 			pl.injVC[node] = -1
 			pl.injSeq[node] = 0
+			// Drop a consumed queue so it keeps no delivered packet reachable.
+			if q := pl.nodeQueue[node]; pl.nodeHead[node] == len(q) {
+				clear(q)
+				pl.nodeQueue[node] = q[:0]
+				pl.nodeHead[node] = 0
+			}
 		}
 	}
 
 	// Commit link arrivals.
-	for _, a := range pending {
-		vc := &pl.routers[a.node].in[a.port][a.vc]
+	for _, a := range pl.pending {
+		vc := &pl.routers[a.node].vcs[a.port*s.cfg.VCs+a.vc]
 		if vc.owner != a.f.pkt.uid {
 			panic("noc: flit arrived at VC owned by another packet")
 		}
@@ -969,7 +917,104 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 		}
 		g.res.BufferWrites++
 	}
-	pl.pending = pending[:0]
+}
+
+// grant tries to move the front flit of slot toward output op of
+// router rid: it allocates a downstream VC for an unrouted head (down
+// latches an up*/down* phase change once the hop is committed), checks
+// credits, and on success pops the flit, returns its credit upstream and
+// either ejects it or queues its link arrival. It reports whether the
+// flit moved.
+func (s *Simulator) grant(pl *plane, pi, rid, op, slot int, down bool, now int64) bool {
+	r := &pl.routers[rid]
+	vc := &r.vcs[slot]
+	f := *vc.front()
+	// VC allocation for head flits.
+	if vc.outPort == -1 {
+		if op == PortLocal {
+			vc.outVC = 0
+		} else {
+			dvc := s.allocVC(pl, s.nbr[rid][op], opposite[op], f.pkt.uid)
+			if dvc == -1 {
+				return false // no free downstream VC yet
+			}
+			vc.outVC = dvc
+		}
+		vc.outPort = op
+		// The hop is committed; latch the phase change so the
+		// downstream route computation sees it.
+		if down {
+			f.pkt.down = true
+		}
+		vc.vcAllocAt = now
+	}
+	if op != PortLocal && r.credits[op][vc.outVC] == 0 {
+		return false
+	}
+
+	// Grant: pop and traverse.
+	g := &s.groups[f.pkt.group]
+	if g.sec != nil && f.seq == 0 {
+		g.sec.Depart(now-g.base, vc.vcAllocAt-g.base, f.pkt.id, f.pkt.attempt, rid, op, pi)
+	}
+	vc.pop()
+	pl.occ[rid]--
+	pl.buffered--
+	g.res.BufferReads++
+	g.res.SwitchTraversals++
+	r.rrPtr[op] = (slot + 1) % len(r.vcs)
+
+	// Credit return to the upstream hop (local injection reads buffer
+	// occupancy directly instead).
+	if ip := int(s.slotPort[slot]); ip != PortLocal {
+		pl.routers[s.nbr[rid][ip]].credits[opposite[ip]][s.slotVC[slot]]++
+	}
+	isTail := f.seq == f.pkt.nflits-1
+	outVC := vc.outVC
+	if isTail {
+		vc.outPort = -1
+		vc.owner = -1
+	}
+	if op == PortLocal {
+		if isTail {
+			if f.pkt.corrupt {
+				if s.resolveCorrupt(pl, f.pkt, now, g) {
+					s.packetResolved(f.pkt.group, now)
+				}
+			} else {
+				g.sec.Eject(now+1-g.base, f.pkt.id, f.pkt.attempt, rid)
+				lat := now + 1 - f.pkt.injectTime
+				g.res.TotalPacketLatency += lat
+				if lat > g.res.MaxPacketLatency {
+					g.res.MaxPacketLatency = lat
+				}
+				g.res.EjectedPackets++
+				s.latHist.Observe(lat)
+				s.packetResolved(f.pkt.group, now)
+			}
+		}
+		return true
+	}
+	r.credits[op][outVC]--
+	g.res.LinkTraversals++
+	s.linkLoad[rid][op-1]++
+	if g.sec != nil {
+		s.linkBusy(g, pi, rid, op, now)
+	}
+	f.readyAt = now + 1 + int64(s.cfg.Stages-1)
+	if s.faultOn {
+		if s.slow != nil && s.slow[rid][op-1] {
+			f.readyAt += int64(s.cfg.Fault.SlowExtraCycles)
+		}
+		fc := s.cfg.Fault
+		if fc.DropProb > 0 && (s.flaky == nil || s.flaky[rid][op-1]) &&
+			fc.DropFlit(g.salt, int64(f.pkt.id), f.pkt.attempt, rid*4+(op-1), f.seq) {
+			f.pkt.corrupt = true
+			g.res.DroppedFlits++
+		}
+	}
+	pl.pending = append(pl.pending, arrival{s.nbr[rid][op], opposite[op], outVC, f})
+	return true
 }
 
 // allocVC finds (or confirms) a VC at node/port for the packet with
@@ -977,7 +1022,7 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 // otherwise a free, empty VC is claimed. Returns -1 if none is
 // available.
 func (s *Simulator) allocVC(pl *plane, node, port, uid int) int {
-	vcs := pl.routers[node].in[port]
+	vcs := pl.routers[node].vcs[port*s.cfg.VCs : (port+1)*s.cfg.VCs]
 	for v := range vcs {
 		if vcs[v].owner == uid {
 			return v
